@@ -139,11 +139,18 @@ class BumpFunction:
     def derivative_sups(self, points: int = 100_001, pad: float = 1.0):
         """Grid suprema of |gamma'| and |gamma''| over [-pad, Lambda + pad],
         with the locations where they are attained."""
-        g = np.linspace(-pad, self.Lambda + pad, points)
-        d1 = np.abs(self.d1(g))
-        d2 = np.abs(self.d2(g))
-        i1, i2 = int(np.argmax(d1)), int(np.argmax(d2))
-        return (float(d1[i1]), float(g[i1])), (float(d2[i2]), float(g[i2]))
+        return _taper_derivative_sups(self, points, pad)
+
+
+# Keyed on (Lambda, points, pad): select_params and run_verification scan the
+# same taper three times per certification; the result is immutable floats.
+@lru_cache(maxsize=8)
+def _taper_derivative_sups(gamma: BumpFunction, points: int, pad: float):
+    g = np.linspace(-pad, gamma.Lambda + pad, points)
+    d1 = np.abs(gamma.d1(g))
+    d2 = np.abs(gamma.d2(g))
+    i1, i2 = int(np.argmax(d1)), int(np.argmax(d2))
+    return (float(d1[i1]), float(g[i1])), (float(d2[i2]), float(g[i2]))
 
 
 def build_gamma(R0: float, Lambda: float | None = None) -> BumpFunction:

@@ -40,6 +40,13 @@ class UsageError(Exception):
     pass
 
 
+def _override_value(name: str, raw) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"override {name!r} needs a numeric value, got {raw!r}")
+
+
 def _parse_override(text: str) -> tuple[str, float]:
     if "=" not in text:
         raise UsageError(f"--set expects NAME=VALUE, got {text!r}")
@@ -48,10 +55,7 @@ def _parse_override(text: str) -> tuple[str, float]:
     if name not in OVERRIDE_NAMES:
         raise UsageError(
             f"unknown override {name!r}; valid names: {', '.join(OVERRIDE_NAMES)}")
-    try:
-        return name, float(raw)
-    except ValueError:
-        raise UsageError(f"override {name!r} needs a numeric value, got {raw!r}")
+    return name, _override_value(name, raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,7 +110,7 @@ def _merge_config(args) -> RunConfig:
                         raise UsageError(
                             f"unknown override {name!r} in config; valid names: "
                             f"{', '.join(OVERRIDE_NAMES)}")
-                    cfg.overrides[name] = float(raw)
+                    cfg.overrides[name] = _override_value(name, raw)
             else:
                 setattr(cfg, key, value)
     if args.dim is not None:

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .boundary import boundary_metric, rho_interval, t_of_s
-from .bumps import build_gamma
+from .bumps import BumpFunction, build_gamma
 from .curvature import curvature_grid, intrinsic_sectional
 from .errors import CertificationError, RicciForgeError
 from .grids import GridSpec, open_grid
@@ -129,6 +131,11 @@ def _result(name: str, margin: float | None, at: float | None,
         return CheckResult(name, _ANCHORS[name], False, None, at, cause)
     return CheckResult(name, _ANCHORS[name], _passes(_KINDS[name], margin),
                        float(margin), at, cause)
+
+
+def _margin_results(names, margins) -> dict:
+    """Check results for ``names`` from a table of (margin, at) pairs."""
+    return {name: _result(name, *margins[name]) for name in names}
 
 
 def _refined_min(xs: np.ndarray, vals: np.ndarray, fn=None):
@@ -247,6 +254,35 @@ def _error_text(e: Exception) -> str:
     return f"{clause}: {e}" if clause else str(e)
 
 
+_C1_NAMES = ("c1_join_inner", "c1_join_outer", "lemma_2_9_iii", "lemma_2_10")
+_SMOOTHING_NAMES = ("lemma_2_13_a", "lemma_2_13_b", "lemma_2_13_c",
+                    "corollary_2_14_concavity", "corollary_2_14_ratio")
+
+
+@lru_cache(maxsize=8)
+def _profile_stage(cascade: ParamSet, gamma: BumpFunction, points: int):
+    """Bridge, C1 profile, its margins and the accepted smoothing for one
+    cascade; returns ``(c1_margins, smooth)``.
+
+    The profile does not depend on n or p, so ``cascade`` has both set to
+    None and every (n, p) with the same other constants shares one entry;
+    its margin tables are read-only because every such caller gets them.
+    Errors are not cached. A smoothing failure carries the C1 margins found
+    before it as ``c1_margins``.
+    """
+    bridge = build_bridge_theta(cascade)
+    base = ProfileC1(params=cascade, bump=gamma, bridge=bridge)
+    c1_margins = MappingProxyType(validate_c1(base, points))
+    try:
+        smooth = smooth_profile(base, cascade.mu, points=points)
+    except RicciForgeError as e:
+        e.c1_margins = c1_margins
+        raise
+    smooth = replace(smooth,
+                     smoothing_report=MappingProxyType(smooth.smoothing_report))
+    return c1_margins, smooth
+
+
 def run_verification(n: int, p: int, overrides=None,
                      grid: GridSpec | None = None) -> VerificationReport:
     """Run the full construction for (n, p) and certify every clause.
@@ -298,11 +334,7 @@ def run_verification(n: int, p: int, overrides=None,
     results["r0_disjointness"] = _result(
         "r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
-    profile_names = [
-        "c1_join_inner", "c1_join_outer", "lemma_2_9_iii", "lemma_2_10",
-        "lemma_2_13_a", "lemma_2_13_b", "lemma_2_13_c",
-        "corollary_2_14_concavity", "corollary_2_14_ratio", "lemma_2_15",
-    ]
+    profile_names = [*_C1_NAMES, *_SMOOTHING_NAMES, "lemma_2_15"]
     downstream_names = [
         "ricci_tt_positive", "ricci_xx_positive", "ricci_ss_positive",
         "corollary_2_16_bound", "lemma_2_17_bound", "lemma_2_18_bound",
@@ -310,22 +342,12 @@ def run_verification(n: int, p: int, overrides=None,
         "omega_exceeds_tau_power", "rho_interval_nonempty",
     ]
 
-    smooth = None
     try:
-        bridge = build_bridge_theta(params)
-        base = ProfileC1(params=params, bump=gamma, bridge=bridge)
-        c1_margins = validate_c1(base, points)
-        for name in ("c1_join_inner", "c1_join_outer", "lemma_2_9_iii", "lemma_2_10"):
-            m, at = c1_margins[name]
-            results[name] = _result(name, m, at)
-        smooth = smooth_profile(base, params.mu, points=points)
-        rep = smooth.smoothing_report
-        for name in ("lemma_2_13_a", "lemma_2_13_b", "lemma_2_13_c",
-                     "corollary_2_14_concavity", "corollary_2_14_ratio"):
-            m, at = rep[name]
-            results[name] = _result(name, m, at)
-        artifacts["profile"] = smooth
+        c1_margins, smooth = _profile_stage(replace(params, n=None, p=None),
+                                            gamma, points)
     except RicciForgeError as e:
+        if hasattr(e, "c1_margins"):
+            results.update(_margin_results(_C1_NAMES, e.c1_margins))
         cause = _error_text(e)
         pending = [nm for nm in profile_names if nm not in results]
         for name, (m, at) in getattr(e, "margins", {}).items():
@@ -337,6 +359,9 @@ def run_verification(n: int, p: int, overrides=None,
         results.update(_skipped(downstream_names,
                                 f"profile construction failed ({cause})"))
         return _assemble(params, results, artifacts)
+    results.update(_margin_results(_C1_NAMES, c1_margins))
+    results.update(_margin_results(_SMOOTHING_NAMES, smooth.smoothing_report))
+    artifacts["profile"] = smooth
 
     # curvature checks on the union of the interior grid and the boundary grid
     r0 = params.r0

@@ -175,3 +175,11 @@ def test_config_non_integer_dimension_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3.5, "p": 1}))
     assert run(["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", None])
+def test_config_non_numeric_override_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "p": 1, "overrides": {"R0": raw}}))
+    assert run(["--config", str(cfg)]) == 2
+    assert "override 'R0' needs a numeric value" in capsys.readouterr().err

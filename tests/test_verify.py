@@ -1,18 +1,29 @@
 import json
 import math
+import random
+import sys
+import threading
 
 import pytest
 
 from ricci_forge import (
     CHECK_NAMES,
+    CertificationError,
     GridSpec,
     RoundSphereProfile,
     gauss_crosscheck,
     report_to_dict,
     report_to_json,
     run_verification,
+    verify,
 )
+from ricci_forge.bumps import _taper_derivative_sups
+from ricci_forge.cli import _boundary_csv, _curvature_csv, _profile_csv
 from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, STRICT_FLOOR
+from test_acceptance import NS, PS
+
+SWEEP = tuple((n, p) for n in NS for p in PS)
+CSV_CONFIGS = ((3, 1), (13, 10))
 
 
 def test_default_run_passes(report33):
@@ -147,3 +158,120 @@ def test_many_punctures_run_passes(report_cache):
     rep = report_cache(7, 100)
     assert rep.overall
     assert rep.params.r0 < math.pi / 100
+
+
+# ---------------------------------------------------------------------------
+# The memoised n-independent profile stage
+# ---------------------------------------------------------------------------
+
+def _clear_caches():
+    verify._profile_stage.cache_clear()
+    _taper_derivative_sups.cache_clear()
+
+
+def _csv_texts(report):
+    return tuple(dump(report) for dump in (_profile_csv, _curvature_csv, _boundary_csv))
+
+
+@pytest.fixture
+def empty_profile_cache():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+@pytest.fixture(scope="module")
+def uncached_sweep():
+    """JSON (and, for CSV_CONFIGS, CSV text) of every sweep report, each
+    computed with the caches emptied first."""
+    out = {}
+    for n, p in SWEEP:
+        _clear_caches()
+        rep = run_verification(n, p)
+        out[(n, p)] = (report_to_json(rep),
+                       _csv_texts(rep) if (n, p) in CSV_CONFIGS else None)
+    _clear_caches()
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_profile_cache_keeps_sweep_bytes(uncached_sweep, seed):
+    order = list(SWEEP)
+    random.Random(seed).shuffle(order)
+    _clear_caches()
+    for n, p in order:
+        rep = run_verification(n, p)
+        ref_json, ref_csv = uncached_sweep[(n, p)]
+        assert report_to_json(rep) == ref_json, (n, p)
+        if ref_csv is not None:
+            assert _csv_texts(rep) == ref_csv, (n, p)
+    # every sweep input shares one cascade: one build, then reuse
+    info = verify._profile_stage.cache_info()
+    assert (info.misses, info.hits) == (1, len(SWEEP) - 1)
+
+
+def test_profile_cache_misses_on_other_points_or_cascade(empty_profile_cache):
+    base = run_verification(3, 3)
+    coarse = run_verification(3, 3, grid=GridSpec(points=2_000, lo=0.0, hi=1.0))
+    # same cascade, different grid: the margins must come from the coarse grid
+    assert coarse.params == base.params
+    assert coarse.check("lemma_2_9_iii").at != base.check("lemma_2_9_iii").at
+    mu = base.params.mu / 2.0
+    other = run_verification(3, 3, {"mu": mu})
+    assert other.artifacts["profile"].mu == mu != base.artifacts["profile"].mu
+    info = verify._profile_stage.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+
+
+def test_profile_stage_failure_is_not_cached(empty_profile_cache, monkeypatch):
+    calls = []
+
+    def failing_smooth(base, mu, points):
+        calls.append(points)
+        raise CertificationError("injected smoothing failure", check="lemma_2_13_c",
+                                 margins={"lemma_2_13_c": (-1.0, 0.5)})
+
+    monkeypatch.setattr(verify, "smooth_profile", failing_smooth)
+    first = run_verification(3, 3)
+    second = run_verification(3, 3)
+    assert len(calls) == 2
+    assert report_to_json(second) == report_to_json(first)
+    assert not first.overall
+    chk = first.check("lemma_2_13_c")
+    assert chk.margin == -1.0 and "injected smoothing failure" in chk.cause
+    # the C1 margins found before the smoothing failed are still reported
+    assert first.check("c1_join_inner").passed
+    assert first.check("ricci_tt_positive").cause.startswith("skipped:")
+
+    monkeypatch.undo()
+    assert run_verification(3, 3).overall
+
+
+def test_profile_cache_stays_within_bound(empty_profile_cache, monkeypatch, smooth33):
+    # a stand-in smoothing keeps each miss cheap; only the cache size matters
+    monkeypatch.setattr(verify, "smooth_profile", lambda base, mu, points: smooth33)
+    bound = verify._profile_stage.cache_info().maxsize
+    for k in range(bound + 3):
+        run_verification(3, 3, grid=GridSpec(points=200 + k, lo=0.0, hi=1.0))
+        assert verify._profile_stage.cache_info().currsize == min(k + 1, bound)
+
+
+def test_profile_cache_shared_across_threads(uncached_sweep, empty_profile_cache):
+    configs = SWEEP[:3]
+    out = {}
+
+    def work(n, p):
+        out[(n, p)] = report_to_json(run_verification(n, p))
+
+    threads = [threading.Thread(target=work, args=cfg) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert out == {cfg: uncached_sweep[cfg][0] for cfg in configs}
