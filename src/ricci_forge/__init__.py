@@ -6,7 +6,6 @@ from .boundary import BoundaryMetric, boundary_metric, rho_interval, t_of_s
 from .bumps import BumpFunction, build_gamma
 from .curvature import (
     CurvatureGridResult,
-    CurvatureSample,
     curvature_grid,
     intrinsic_sectional,
     principal_curvatures,
@@ -31,9 +30,7 @@ from .paramgen import (
 from .profile import (
     BridgeTheta,
     ProfileC1,
-    RoundSphereProfile,
     SmoothProfile,
-    assemble_profile,
     build_bridge_theta,
     smooth_profile,
 )
@@ -52,14 +49,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryMetric", "boundary_metric", "rho_interval", "t_of_s",
     "BumpFunction", "build_gamma",
-    "CurvatureGridResult", "CurvatureSample", "curvature_grid",
+    "CurvatureGridResult", "curvature_grid",
     "intrinsic_sectional", "principal_curvatures", "ricci_components",
     "CertificationError", "ConfigurationError", "DomainError", "RicciForgeError",
     "GridSpec",
     "LemmaId", "ParamSet", "compute_iota", "compute_mu0", "lemma_bound_eval",
     "select_params", "threshold_scan",
-    "BridgeTheta", "ProfileC1", "RoundSphereProfile", "SmoothProfile",
-    "assemble_profile", "build_bridge_theta", "smooth_profile",
+    "BridgeTheta", "ProfileC1", "SmoothProfile",
+    "build_bridge_theta", "smooth_profile",
     "CHECK_NAMES", "CheckResult", "VerificationReport", "gauss_crosscheck",
     "report_to_dict", "report_to_json", "run_verification",
     "__version__",

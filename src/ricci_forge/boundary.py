@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .grids import GridSpec
 from .paramgen import ParamSet
 
 FD_STEP_FACTOR = 1e-5
@@ -36,12 +35,7 @@ def t_of_s(r0: float, s):
 @dataclass(frozen=True)
 class BoundaryMetric:
     """Sampled rescaled boundary metric with its pole distance and waist
-    parameters and the admissible rho interval endpoints.
-
-    ``lam`` and ``nu`` (the concave slope and final radius produced by the
-    tube construction this boundary feeds into) are outputs of that later
-    stage, not derivable here; they stay unresolved fields.
-    """
+    parameters and the lower endpoint of the admissible rho interval."""
 
     r0: float
     n: int
@@ -49,13 +43,10 @@ class BoundaryMetric:
     tau: float
     samples: np.ndarray  # columns: s, B, B', B'' (rescaled arc length)
     rho_lo: float
-    rho_hi: float
-    lam: float | None = None
-    nu: float | None = None
 
     def rho_default(self) -> float:
         """Midpoint of the admissible interval, for reporting."""
-        return 0.5 * (self.rho_lo + min(self.rho_hi, 0.5))
+        return 0.5 * (self.rho_lo + min(self.omega, 0.5))
 
 
 def _rescaled_warp(profile, r0):
@@ -70,11 +61,11 @@ def _rescaled_warp(profile, r0):
     return B
 
 
-def boundary_metric(profile, params: ParamSet, grid: GridSpec | None = None) -> BoundaryMetric:
-    """Sample the rescaled boundary warping over its full pole-to-pole range
-    and fill the closed-form waist, pole distance, and rho endpoints."""
+def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> BoundaryMetric:
+    """Sample the rescaled boundary warping at ``points`` arc-length values
+    over its full pole-to-pole range and fill the closed-form waist, pole
+    distance, and lower rho endpoint."""
     r0, n = params.r0, params.n
-    points = grid.points if grid is not None else 10_000
     omega = math.cos(r0)
     length = math.pi * omega
     B = _rescaled_warp(profile, r0)
@@ -105,7 +96,7 @@ def boundary_metric(profile, params: ParamSet, grid: GridSpec | None = None) -> 
     return BoundaryMetric(
         r0=r0, n=n, omega=omega, tau=tau,
         samples=np.column_stack([s, vals, d1, d2]),
-        rho_lo=rho_lo, rho_hi=omega,
+        rho_lo=rho_lo,
     )
 
 

@@ -173,6 +173,11 @@ def build_gamma(R0: float, Lambda: float | None = None) -> BumpFunction:
             f"Lambda = {Lambda!r} must exceed 1/R0 = {1.0 / R0!r} (Definition 2.7)",
             clause="Definition 2.7",
         )
+    if not math.isfinite(Lambda):
+        raise ConfigurationError(
+            f"Lambda = {Lambda!r} must be finite (Definition 2.7)",
+            clause="Definition 2.7",
+        )
     gamma = BumpFunction(float(Lambda))
     (g1, _), (g2, _) = gamma.derivative_sups()
     if not (g1 < R0 and g2 < R0):

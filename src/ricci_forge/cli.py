@@ -10,7 +10,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,10 @@ class RunConfig:
     out_curvature_csv: str = None
     out_boundary_csv: str = None
     verbosity: str = "normal"
+
+
+_OUTPUT_FIELDS = ("out_report", "out_profile_csv", "out_curvature_csv",
+                  "out_boundary_csv")
 
 
 class UsageError(Exception):
@@ -88,9 +92,7 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"cannot read config {path!r}: {e}")
     if not isinstance(data, dict):
         raise UsageError(f"config {path!r} must hold a JSON object")
-    known = {"n", "p", "overrides", "grid_points", "out_report",
-             "out_profile_csv", "out_curvature_csv", "out_boundary_csv",
-             "verbosity"}
+    known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise UsageError(f"unknown config key(s) {unknown}; valid: {sorted(known)}")
@@ -149,6 +151,10 @@ def _merge_config(args) -> RunConfig:
         raise UsageError(f"--grid must be >= {MIN_GRID}, got {cfg.grid_points}")
     if cfg.verbosity not in ("quiet", "normal", "verbose"):
         raise UsageError(f"verbosity must be quiet/normal/verbose, got {cfg.verbosity!r}")
+    for field_name in _OUTPUT_FIELDS:
+        value = getattr(cfg, field_name)
+        if value is not None and not isinstance(value, str):
+            raise UsageError(f"{field_name} must be a path string, got {value!r}")
     return cfg
 
 
@@ -242,8 +248,8 @@ def run(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        for path in (cfg.out_report, cfg.out_profile_csv,
-                     cfg.out_curvature_csv, cfg.out_boundary_csv):
+        for field_name in _OUTPUT_FIELDS:
+            path = getattr(cfg, field_name)
             if path:
                 _check_writable(path)
     except UsageError as e:

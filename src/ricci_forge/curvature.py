@@ -14,26 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bumps import _as_array, _wrap
 from .errors import DomainError
-from .grids import GridSpec, uniform_grid
 
 T_MAX = math.pi / 2
 POLE_EPS = 1e-12
 
 
 def _prep(t, lo, hi, what):
-    a = np.asarray(t, dtype=float)
-    scalar = a.ndim == 0
-    a = np.atleast_1d(a)
+    a, scalar = _as_array(t)
     if np.any(a < lo - 1e-12) or np.any(a > hi + 1e-9):
         raise DomainError(f"{what}: argument outside [{lo}, {hi}]")
     return a, scalar
-
-
-def _out(arrs, scalar):
-    if scalar:
-        return tuple(float(a[0]) for a in arrs)
-    return tuple(arrs)
 
 
 def ricci_components(profile, n: int, t):
@@ -60,7 +52,7 @@ def ricci_components(profile, n: int, t):
         ric_tt[pole] = 1.0 + (n - 2) * lim2
         ric_xx[pole] = float(n - 1)
         ric_ss[pole] = lim2 + 1.0 + (n - 3) * lim3
-    return _out((ric_tt, ric_xx, ric_ss), scalar)
+    return tuple(_wrap(a, scalar) for a in (ric_tt, ric_xx, ric_ss))
 
 
 def principal_curvatures(profile, r0: float, t):
@@ -77,7 +69,7 @@ def principal_curvatures(profile, r0: float, t):
         ratio = profile.d1(tr) / profile.value(tr)
         pc_sphere[reg] = -ratio * cot_r0 * np.tan(tr)
     pc_sphere[pole] = -cot_r0
-    return _out((pc_circle, pc_sphere), scalar)
+    return _wrap(pc_circle, scalar), _wrap(pc_sphere, scalar)
 
 
 def intrinsic_sectional(profile, r0: float, t):
@@ -101,22 +93,7 @@ def intrinsic_sectional(profile, r0: float, t):
         ki_ss[reg] = (1.0 - R1**2 * (1.0 - c)) / R**2
     ki_ys[pole] = lim2 + cot2
     ki_ss[pole] = lim3 + cot2
-    return _out((ki_ys, ki_ss), scalar)
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """All curvature quantities at one parameter value; boundary fields are
-    NaN for t beyond the removed ball."""
-
-    t: float
-    ric_tt: float
-    ric_xx: float
-    ric_ss: float
-    pc_circle: float
-    pc_sphere: float
-    ki_ys: float
-    ki_ss: float
+    return _wrap(ki_ys, scalar), _wrap(ki_ss, scalar)
 
 
 @dataclass(frozen=True)
@@ -129,24 +106,12 @@ class CurvatureGridResult:
     pc_sphere: np.ndarray
     ki_ys: np.ndarray
     ki_ss: np.ndarray
-    minima: dict
-
-    def samples(self):
-        return [
-            CurvatureSample(*(float(col[i]) for col in (
-                self.t, self.ric_tt, self.ric_xx, self.ric_ss,
-                self.pc_circle, self.pc_sphere, self.ki_ys, self.ki_ss)))
-            for i in range(self.t.size)
-        ]
 
 
 def curvature_grid(profile, n: int, r0: float, grid) -> CurvatureGridResult:
-    """Evaluate every curvature quantity on a grid (a GridSpec or an explicit
-    array of t values); boundary quantities are filled for t <= r0 only."""
-    if isinstance(grid, GridSpec):
-        ts = uniform_grid(grid)
-    else:
-        ts = np.atleast_1d(np.asarray(grid, dtype=float))
+    """Evaluate every curvature quantity on an explicit array of t values;
+    boundary quantities are filled for t <= r0 only."""
+    ts = np.atleast_1d(np.asarray(grid, dtype=float))
     ric_tt, ric_xx, ric_ss = ricci_components(profile, n, ts)
     nanf = np.full_like(ts, np.nan)
     pc_circle, pc_sphere, ki_ys, ki_ss = nanf.copy(), nanf.copy(), nanf.copy(), nanf.copy()
@@ -155,21 +120,7 @@ def curvature_grid(profile, n: int, r0: float, grid) -> CurvatureGridResult:
         tb = np.clip(ts[mb], 0.0, r0)
         pc_circle[mb], pc_sphere[mb] = principal_curvatures(profile, r0, tb)
         ki_ys[mb], ki_ss[mb] = intrinsic_sectional(profile, r0, tb)
-
-    cot_r0 = 1.0 / math.tan(r0)
-    ric_min = np.minimum(np.minimum(ric_tt, ric_xx), ric_ss)
-    i = int(np.argmin(ric_min))
-    minima = {"ricci_min": (float(ric_min[i]), float(ts[i]))}
-    if np.any(mb):
-        pc_all = np.minimum(pc_circle[mb], pc_sphere[mb]) + cot_r0
-        j = int(np.argmin(pc_all))
-        minima["pc_plus_cot_r0_min"] = (float(pc_all[j]), float(ts[mb][j]))
-        for key, col in (("ki_ys_margin_min", ki_ys), ("ki_ss_margin_min", ki_ss)):
-            vals = col[mb] - cot_r0**2
-            j = int(np.argmin(vals))
-            minima[key] = (float(vals[j]), float(ts[mb][j]))
     return CurvatureGridResult(
         t=ts, ric_tt=ric_tt, ric_xx=ric_xx, ric_ss=ric_ss,
         pc_circle=pc_circle, pc_sphere=pc_sphere, ki_ys=ki_ys, ki_ss=ki_ss,
-        minima=minima,
     )

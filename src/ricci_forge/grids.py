@@ -11,24 +11,18 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A uniform grid of ``points`` samples on [lo, hi]."""
+    """A uniform grid of ``points`` samples on [lo, hi]. ``run_verification``
+    reads only ``points``; each check lays out its own range."""
 
     points: int
     lo: float
     hi: float
-    spacing: str = "uniform"
 
     def __post_init__(self):
         if self.points < 2:
             raise ConfigurationError("GridSpec.points must be >= 2", clause="GridSpec")
         if not self.lo < self.hi:
             raise ConfigurationError("GridSpec requires lo < hi", clause="GridSpec")
-        if self.spacing != "uniform":
-            raise ConfigurationError("only uniform spacing is supported", clause="GridSpec")
-
-
-def uniform_grid(spec: GridSpec) -> np.ndarray:
-    return np.linspace(spec.lo, spec.hi, spec.points)
 
 
 def open_grid(lo: float, hi: float, points: int, *, open_lo: bool = True,

@@ -19,10 +19,10 @@ import numpy as np
 
 from .bumps import build_gamma
 from .errors import CertificationError, ConfigurationError, DomainError
-from .grids import GridSpec, open_grid
+from .grids import open_grid
 
 X_MAX = math.pi / 4
-MIN_SCAN_POINTS = 10_000
+SCAN_POINTS = 10_000
 BISECT_RTOL = 1e-8
 SAFETY = 0.9
 
@@ -163,28 +163,16 @@ def _bisect(fn, lo: float, hi: float, rtol: float = BISECT_RTOL) -> float:
     return 0.5 * (lo + hi)
 
 
-DEFAULT_SCAN = GridSpec(points=MIN_SCAN_POINTS, lo=0.0, hi=X_MAX)
-
-
-def threshold_scan(lemma_id: LemmaId, consts, scan: GridSpec | None = None) -> float:
-    """Largest x below which a threshold inequality holds on a dense grid,
-    refined by bisection at the first violation and discounted by a 0.9
-    safety factor. Returns 0.9 * x_max when no violation is found."""
+def threshold_scan(lemma_id: LemmaId, consts) -> float:
+    """Largest x below which a threshold inequality holds on a dense grid of
+    (0, pi/4], refined by bisection at the first violation and discounted by
+    a 0.9 safety factor. Returns 0.9 * pi/4 when no violation is found."""
     lemma_id = LemmaId(lemma_id)
-    spec = scan if scan is not None else DEFAULT_SCAN
-    if spec.hi > X_MAX + 1e-15:
-        raise ConfigurationError("scan range must stay within (0, pi/4]",
-                                 clause="threshold_scan")
-    if spec.points < MIN_SCAN_POINTS:
-        raise ConfigurationError(
-            f"scan resolution must be >= {MIN_SCAN_POINTS} points",
-            clause="threshold_scan",
-        )
-    xs = open_grid(max(spec.lo, 0.0), spec.hi, spec.points, open_lo=True)
+    xs = open_grid(0.0, X_MAX, SCAN_POINTS, open_lo=True)
     margins = lemma_margin(lemma_id, xs, consts)
     bad = np.nonzero(margins <= 0.0)[0]
     if bad.size == 0:
-        return SAFETY * spec.hi
+        return SAFETY * X_MAX
     first = int(bad[0])
     if first == 0:
         raise CertificationError(
@@ -325,7 +313,7 @@ def _reject(message, clause):
 
 
 def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
-                  scan: GridSpec | None = None, points: int = 10_000) -> ParamSet:
+                  points: int = 10_000) -> ParamSet:
     """Select and validate the full constant cascade for dimension ``n`` and
     ``p`` removed discs. ``overrides`` may pin R0, kappa, zeta, Lambda, r0
     or mu; a pinned value violating its clause is rejected by name."""
@@ -363,10 +351,10 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
 
     consts = {"R0": R0, "kappa": kappa, "zeta": zeta}
     c = tuple(
-        threshold_scan(lemma, consts, scan)
+        threshold_scan(lemma, consts)
         for lemma in (LemmaId.L2_2, LemmaId.L2_3, LemmaId.L2_4, LemmaId.L2_5)
     ) + (
-        min(threshold_scan(lemma, consts, scan)
+        min(threshold_scan(lemma, consts)
             for lemma in (LemmaId.L2_6i, LemmaId.L2_6ii, LemmaId.L2_6iii)),
     )
 

@@ -16,29 +16,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bumps import BumpFunction, build_gamma, bump01_d1, bump01_value
+from .bumps import BumpFunction, _as_array, _wrap, build_gamma, bump01_d1, bump01_value
 from .errors import CertificationError, ConfigurationError, DomainError
 from .grids import open_grid
 from .paramgen import ParamSet, star_margin, theta_boundary_values
 
 __all__ = [
-    "BridgeTheta", "ProfileC1", "SmoothProfile", "RoundSphereProfile",
-    "build_gamma", "build_bridge_theta", "assemble_profile", "smooth_profile",
+    "BridgeTheta", "ProfileC1", "SmoothProfile",
+    "build_gamma", "build_bridge_theta", "smooth_profile",
     "validate_c1", "validate_smooth",
 ]
 
 T_MAX = math.pi / 2
 DOMAIN_PAD = 1e-3  # finite-difference probes may step slightly past pi/2
 JOIN_TOL = 1e-9
-
-
-def _as_array(t):
-    a = np.asarray(t, dtype=float)
-    return a, a.ndim == 0
-
-
-def _wrap(a, scalar):
-    return float(a) if scalar else a
 
 
 def _check_domain(t):
@@ -219,20 +210,6 @@ def validate_c1(profile: ProfileC1, points: int = 10_000) -> dict:
     return margins
 
 
-def assemble_profile(params: ParamSet, bump: BumpFunction, bridge: BridgeTheta,
-                     points: int = 10_000) -> ProfileC1:
-    """Assemble the three-piece profile and certify its clauses on a grid."""
-    profile = ProfileC1(params=params, bump=bump, bridge=bridge)
-    margins = validate_c1(profile, points)
-    for name, (margin, at) in margins.items():
-        if not margin > 0.0:
-            raise CertificationError(
-                f"profile clause {name} failed: margin {margin!r} at t = {at!r}",
-                check=name, margins=margins,
-            )
-    return profile
-
-
 # ---------------------------------------------------------------------------
 # Smoothing windows
 # ---------------------------------------------------------------------------
@@ -375,23 +352,6 @@ class SmoothProfile:
     @property
     def zero_limits(self):
         return self.base.zero_limits
-
-
-class RoundSphereProfile:
-    """Test hook: the unit round sphere profile sin(t)."""
-
-    def value(self, t):
-        return np.sin(np.asarray(t, dtype=float)) if np.ndim(t) else math.sin(t)
-
-    def d1(self, t):
-        return np.cos(np.asarray(t, dtype=float)) if np.ndim(t) else math.cos(t)
-
-    def d2(self, t):
-        return -np.sin(np.asarray(t, dtype=float)) if np.ndim(t) else -math.sin(t)
-
-    @property
-    def zero_limits(self):
-        return 1.0, 1.0
 
 
 def _window_grid(lo, hi, points=1_000):

@@ -133,9 +133,11 @@ def _result(name: str, margin: float | None, at: float | None,
                        float(margin), at, cause)
 
 
-def _margin_results(names, margins) -> dict:
-    """Check results for ``names`` from a table of (margin, at) pairs."""
-    return {name: _result(name, *margins[name]) for name in names}
+def _margin_results(margins, cause: str | None = None) -> dict:
+    """Check results for the entries of a margin table that name a check;
+    entries that are not checks (such as ``attempts``) are left out."""
+    return {name: _result(name, *margins[name], cause)
+            for name in margins if name in _ANCHORS}
 
 
 def _refined_min(xs: np.ndarray, vals: np.ndarray, fn=None):
@@ -195,17 +197,13 @@ def _lemma_grid_check(name: str, lemma: LemmaId, params: ParamSet, points: int) 
     return _result(name, margin, at)
 
 
-def gauss_crosscheck(profile, params: ParamSet, n: int | None = None,
-                     grid: GridSpec | None = None) -> CheckResult:
+def gauss_crosscheck(profile, params: ParamSet) -> CheckResult:
     """Compare the closed-form boundary sectional curvatures against finite
     differences of the unrescaled boundary warping B(s) = R(t(s)); the two
     routes are independent, so agreement validates the closed forms."""
     r0 = params.r0
     length = math.pi * math.sin(r0)
-    points = grid.points if grid is not None else 2_000
-    lo = grid.lo if grid is not None else 0.05 * length
-    hi = grid.hi if grid is not None else 0.95 * length
-    s = np.linspace(lo, hi, points)
+    s = np.linspace(0.05 * length, 0.95 * length, 2_000)
     h = 1e-4 * math.sin(r0)
 
     def B(sv):
@@ -241,22 +239,9 @@ def _angle_identity_check(r0: float, points: int) -> CheckResult:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def _skipped(names, cause):
-    return {
-        name: CheckResult(name, _ANCHORS[name], False, None, None,
-                          cause=f"skipped: {cause}")
-        for name in names
-    }
-
-
 def _error_text(e: Exception) -> str:
     clause = getattr(e, "clause", None) or getattr(e, "check", None)
     return f"{clause}: {e}" if clause else str(e)
-
-
-_C1_NAMES = ("c1_join_inner", "c1_join_outer", "lemma_2_9_iii", "lemma_2_10")
-_SMOOTHING_NAMES = ("lemma_2_13_a", "lemma_2_13_b", "lemma_2_13_c",
-                    "corollary_2_14_concavity", "corollary_2_14_ratio")
 
 
 @lru_cache(maxsize=8)
@@ -289,22 +274,20 @@ def run_verification(n: int, p: int, overrides=None,
 
     Constructor failures become failing checks (never exceptions); checks
     whose inputs failed upstream are reported failed with a cause pointer.
+    Only ``grid.points`` is read.
     """
     points = grid.points if grid is not None else DEFAULT_POINTS
     results: dict[str, CheckResult] = {}
     artifacts: dict = {}
 
-    names_after_params = [nm for nm in CHECK_NAMES if nm != "parameter_invariants"]
     try:
         params = select_params(n, p, overrides, points=points)
     except RicciForgeError as e:
         cause = _error_text(e)
-        results["parameter_invariants"] = CheckResult(
-            "parameter_invariants", _ANCHORS["parameter_invariants"],
-            False, None, None, cause=cause)
-        results.update(_skipped(names_after_params,
-                                f"parameter cascade failed ({cause})"))
-        return _assemble(None, results, artifacts)
+        results["parameter_invariants"] = _result("parameter_invariants",
+                                                  None, None, cause)
+        return _assemble(None, results, artifacts,
+                         f"parameter cascade failed ({cause})")
 
     artifacts["params"] = params
     results["parameter_invariants"] = _result("parameter_invariants",
@@ -334,33 +317,18 @@ def run_verification(n: int, p: int, overrides=None,
     results["r0_disjointness"] = _result(
         "r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
-    profile_names = [*_C1_NAMES, *_SMOOTHING_NAMES, "lemma_2_15"]
-    downstream_names = [
-        "ricci_tt_positive", "ricci_xx_positive", "ricci_ss_positive",
-        "corollary_2_16_bound", "lemma_2_17_bound", "lemma_2_18_bound",
-        "gauss_crosscheck", "angle_identity", "tau_below_r0",
-        "omega_exceeds_tau_power", "rho_interval_nonempty",
-    ]
-
     try:
         c1_margins, smooth = _profile_stage(replace(params, n=None, p=None),
                                             gamma, points)
     except RicciForgeError as e:
-        if hasattr(e, "c1_margins"):
-            results.update(_margin_results(_C1_NAMES, e.c1_margins))
         cause = _error_text(e)
-        pending = [nm for nm in profile_names if nm not in results]
-        for name, (m, at) in getattr(e, "margins", {}).items():
-            if name in profile_names:
-                results[name] = _result(name, m, at, cause=cause)
-                if name in pending:
-                    pending.remove(name)
-        results.update(_skipped(pending, f"profile construction failed ({cause})"))
-        results.update(_skipped(downstream_names,
-                                f"profile construction failed ({cause})"))
-        return _assemble(params, results, artifacts)
-    results.update(_margin_results(_C1_NAMES, c1_margins))
-    results.update(_margin_results(_SMOOTHING_NAMES, smooth.smoothing_report))
+        results.update(_margin_results(getattr(e, "c1_margins", {})))
+        results.update(_margin_results(getattr(e, "margins", {}), cause))
+        return _assemble(params, results, artifacts,
+                         f"profile construction failed ({cause})")
+    results.update(_margin_results(c1_margins))
+    # its lemma_2_15 entry is replaced by the curvature-grid check below
+    results.update(_margin_results(smooth.smoothing_report))
     artifacts["profile"] = smooth
 
     # curvature checks on the union of the interior grid and the boundary grid
@@ -401,8 +369,7 @@ def run_verification(n: int, p: int, overrides=None,
     results["gauss_crosscheck"] = gauss_crosscheck(smooth, params)
     results["angle_identity"] = _angle_identity_check(r0, min(points, 2_000))
 
-    bm = boundary_metric(smooth, params, GridSpec(points=points, lo=0.0,
-                                                  hi=math.pi * math.cos(r0)))
+    bm = boundary_metric(smooth, params, points)
     artifacts["boundary"] = bm
     results["tau_below_r0"] = _result("tau_below_r0", params.R0 - bm.tau, None)
     results["omega_exceeds_tau_power"] = _result(
@@ -414,14 +381,19 @@ def run_verification(n: int, p: int, overrides=None,
                                                    margin, None)
         artifacts["rho"] = (lo, hi)
     except CertificationError as e:
-        results["rho_interval_nonempty"] = CheckResult(
-            "rho_interval_nonempty", _ANCHORS["rho_interval_nonempty"],
-            False, None, None, cause=_error_text(e))
+        results["rho_interval_nonempty"] = _result("rho_interval_nonempty",
+                                                   None, None, _error_text(e))
 
     return _assemble(params, results, artifacts)
 
 
-def _assemble(params, results, artifacts) -> VerificationReport:
+def _assemble(params, results, artifacts, failed: str | None = None) -> VerificationReport:
+    """The report in CHECK_TABLE order. After a failed stage (``failed``
+    names it and its cause) every check not yet emitted is reported skipped;
+    otherwise a check never emitted is an internal error."""
+    if failed is not None:
+        for name in CHECK_NAMES:
+            results.setdefault(name, _result(name, None, None, f"skipped: {failed}"))
     missing = [nm for nm in CHECK_NAMES if nm not in results]
     if missing:
         raise RuntimeError(f"internal error: checks never emitted: {missing}")

@@ -1,13 +1,39 @@
+import math
+
+import numpy as np
 import pytest
 
 from ricci_forge import (
-    assemble_profile,
+    ProfileC1,
     build_bridge_theta,
     build_gamma,
     run_verification,
     select_params,
     smooth_profile,
 )
+
+
+class RoundSphereProfile:
+    """The unit round sphere profile sin(t): every curvature quantity has a
+    known constant value, so it serves as an oracle for the evaluators."""
+
+    def value(self, t):
+        return np.sin(np.asarray(t, dtype=float)) if np.ndim(t) else math.sin(t)
+
+    def d1(self, t):
+        return np.cos(np.asarray(t, dtype=float)) if np.ndim(t) else math.cos(t)
+
+    def d2(self, t):
+        return -np.sin(np.asarray(t, dtype=float)) if np.ndim(t) else -math.sin(t)
+
+    @property
+    def zero_limits(self):
+        return 1.0, 1.0
+
+
+@pytest.fixture(scope="session")
+def round_profile():
+    return RoundSphereProfile()
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +53,7 @@ def bridge33(params33):
 
 @pytest.fixture(scope="session")
 def profile33(params33, gamma33, bridge33):
-    return assemble_profile(params33, gamma33, bridge33)
+    return ProfileC1(params=params33, bump=gamma33, bridge=bridge33)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ricci_forge import (
-    RoundSphereProfile,
     intrinsic_sectional,
     principal_curvatures,
     ricci_components,
@@ -98,10 +97,10 @@ def test_criterion_4_intrinsic_bounds(sweep):
                  "1 + cot^2(r0) floor")
 
 
-def test_criterion_5_round_sphere_oracle():
+def test_criterion_5_round_sphere_oracle(round_profile):
     # below t ~ 0.01 the generic 1 - R'^2 evaluation is cancellation-limited,
     # so the oracle grid starts there
-    round_p = RoundSphereProfile()
+    round_p = round_profile
     r0 = 0.06
     cot = 1.0 / math.tan(r0)
     ok = True

@@ -7,7 +7,6 @@ from ricci_forge import (
     BoundaryMetric,
     CertificationError,
     DomainError,
-    GridSpec,
     boundary_metric,
     rho_interval,
     t_of_s,
@@ -60,9 +59,7 @@ def test_unrescaled_pole_distance_oracle(params33):
 
 @pytest.fixture(scope="module")
 def bm33(smooth33, params33):
-    return boundary_metric(smooth33, params33,
-                           GridSpec(points=10_000, lo=0.0,
-                                    hi=math.pi * math.cos(params33.r0)))
+    return boundary_metric(smooth33, params33, 10_000)
 
 
 def test_waist_closed_form(params33, bm33):
@@ -119,7 +116,7 @@ def test_rho_chain_links(params33, bm33):
 
 def test_rho_interval_empty_raises():
     fake = BoundaryMetric(r0=0.06, n=3, omega=0.5, tau=0.9,
-                          samples=np.zeros((4, 4)), rho_lo=0.9486, rho_hi=0.5)
+                          samples=np.zeros((4, 4)), rho_lo=0.9486)
     with pytest.raises(CertificationError):
         rho_interval(fake, 3)
 
@@ -127,4 +124,3 @@ def test_rho_interval_empty_raises():
 def test_boundary_metric_rho_fields(params33, bm33):
     n = params33.n
     assert bm33.rho_lo == bm33.tau ** ((n - 2) / (n - 1))
-    assert bm33.rho_hi == bm33.omega

@@ -177,6 +177,14 @@ def test_config_non_integer_dimension_is_usage_error(tmp_path):
     assert run(["--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("out_profile_csv", ["a"]), ("out_report", 5)])
+def test_config_non_string_output_path_is_usage_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "p": 3, key: value}))
+    assert run(["--config", str(cfg)]) == 2
+    assert f"{key} must be a path string" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["abc", None])
 def test_config_non_numeric_override_is_usage_error(tmp_path, capsys, raw):
     cfg = tmp_path / "cfg.json"

@@ -5,8 +5,6 @@ import pytest
 
 from ricci_forge import (
     DomainError,
-    GridSpec,
-    RoundSphereProfile,
     curvature_grid,
     intrinsic_sectional,
     principal_curvatures,
@@ -14,11 +12,6 @@ from ricci_forge import (
 )
 
 R0_TEST = 0.06
-
-
-@pytest.fixture(scope="module")
-def round_profile():
-    return RoundSphereProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +132,11 @@ def test_curvature_grid_single_point(smooth33, params33):
 
 
 def test_curvature_grid_minima_and_samples(smooth33, params33):
-    spec = GridSpec(points=500, lo=1e-6, hi=math.pi / 2)
-    res = curvature_grid(smooth33, 3, params33.r0, spec)
-    assert res.minima["ricci_min"][0] > 0.0
-    samples = res.samples()
-    assert len(samples) == 500
-    assert samples[0].t == pytest.approx(1e-6)
+    ts = np.linspace(1e-6, math.pi / 2, 500)
+    res = curvature_grid(smooth33, 3, params33.r0, ts)
+    assert min(np.min(res.ric_tt), np.min(res.ric_xx), np.min(res.ric_ss)) > 0.0
+    assert res.t.size == 500
+    assert res.t[0] == pytest.approx(1e-6)
 
 
 def test_curvature_domain_errors(smooth33, params33):

@@ -8,7 +8,6 @@ from ricci_forge import (
     CertificationError,
     ConfigurationError,
     DomainError,
-    GridSpec,
     LemmaId,
     compute_iota,
     compute_mu0,
@@ -119,14 +118,6 @@ def test_threshold_scan_rejects_invalid_ordering():
     with pytest.raises(CertificationError) as err:
         threshold_scan(LemmaId.L2_2, {"kappa": 4.0, "zeta": 2.0})
     assert "Lemma 2.2" in str(err.value)
-
-
-def test_threshold_scan_validates_grid():
-    with pytest.raises(ConfigurationError):
-        threshold_scan(LemmaId.L2_2, CONSTS, GridSpec(points=100, lo=0.0, hi=X_MAX))
-    with pytest.raises(ConfigurationError):
-        threshold_scan(LemmaId.L2_2, CONSTS,
-                       GridSpec(points=10_000, lo=0.0, hi=1.0))
 
 
 def test_compute_iota_positive_and_matches_dense_rescan(params33):
