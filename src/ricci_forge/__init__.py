@@ -30,9 +30,7 @@ from .paramgen import (
 from .profile import (
     BridgeTheta,
     ProfileC1,
-    SmoothProfile,
     build_bridge_theta,
-    smooth_profile,
 )
 from .verify import (
     CHECK_NAMES,
@@ -55,8 +53,7 @@ __all__ = [
     "GridSpec",
     "LemmaId", "ParamSet", "compute_iota", "compute_mu0", "lemma_bound_eval",
     "select_params", "threshold_scan",
-    "BridgeTheta", "ProfileC1", "SmoothProfile",
-    "build_bridge_theta", "smooth_profile",
+    "BridgeTheta", "ProfileC1", "build_bridge_theta",
     "CHECK_NAMES", "CheckResult", "VerificationReport", "gauss_crosscheck",
     "report_to_dict", "report_to_json", "run_verification",
     "__version__",

@@ -1,5 +1,5 @@
-"""Smooth cut-off machinery: a C-infinity unit step, window bumps, and the
-slow decay function used to taper the outer warping piece."""
+"""Smooth cut-off machinery: a C-infinity unit step and the slow decay
+function used to taper the outer warping piece."""
 
 from __future__ import annotations
 
@@ -84,35 +84,6 @@ def step_derivative_sups(points: int = 100_001) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# C-infinity bump on (0, 1), normalised to peak value 1 at u = 1/2.
-# Used both as the blending weight of the smoothing windows and (rescaled)
-# as the mollifier kernel.
-# ---------------------------------------------------------------------------
-
-def bump01_value(u):
-    u, scalar = _as_array(u)
-    out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
-    if np.any(m):
-        uu = u[m]
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out[m] = np.exp(1.0 - 0.25 / (uu * (1.0 - uu)))
-    return _wrap(out, scalar)
-
-
-def bump01_d1(u):
-    u, scalar = _as_array(u)
-    out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
-    if np.any(m):
-        uu = u[m]
-        w = uu * (1.0 - uu)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out[m] = np.exp(1.0 - 0.25 / w) * 0.25 * (1.0 - 2.0 * uu) / w**2
-    return _wrap(out, scalar)
-
-
-# ---------------------------------------------------------------------------
 # Tapering function: value 1 for x <= 0, 0 for x >= Lambda, with first and
 # second derivative suprema strictly below the squashing factor.
 # ---------------------------------------------------------------------------
@@ -173,9 +144,11 @@ def build_gamma(R0: float, Lambda: float | None = None) -> BumpFunction:
             f"Lambda = {Lambda!r} must exceed 1/R0 = {1.0 / R0!r} (Definition 2.7)",
             clause="Definition 2.7",
         )
-    if not math.isfinite(Lambda):
+    # the taper's second derivative divides by Lambda**2
+    if not math.isfinite(Lambda * Lambda):
         raise ConfigurationError(
-            f"Lambda = {Lambda!r} must be finite (Definition 2.7)",
+            f"Lambda = {Lambda!r} must be finite with a finite square "
+            "(Definition 2.7)",
             clause="Definition 2.7",
         )
     gamma = BumpFunction(float(Lambda))

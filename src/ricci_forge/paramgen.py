@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -168,6 +169,15 @@ def threshold_scan(lemma_id: LemmaId, consts) -> float:
     (0, pi/4], refined by bisection at the first violation and discounted by
     a 0.9 safety factor. Returns 0.9 * pi/4 when no violation is found."""
     lemma_id = LemmaId(lemma_id)
+    values = tuple(_const(consts, name, lemma_id) for name in _NEEDED[lemma_id])
+    return _threshold_scan(lemma_id, values)
+
+
+# Keyed on the constants the inequality reads: every (n, p) of one cascade
+# scans the same seven inequalities. Errors are not cached.
+@lru_cache(maxsize=64)
+def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
+    consts = dict(zip(_NEEDED[lemma_id], values))
     xs = open_grid(0.0, X_MAX, SCAN_POINTS, open_lo=True)
     margins = lemma_margin(lemma_id, xs, consts)
     bad = np.nonzero(margins <= 0.0)[0]
@@ -177,7 +187,7 @@ def threshold_scan(lemma_id: LemmaId, consts) -> float:
     if first == 0:
         raise CertificationError(
             f"{LEMMA_ANCHOR[lemma_id]} fails arbitrarily close to 0 "
-            f"(margin {margins[0]!r} at x = {xs[0]!r})",
+            f"(margin {float(margins[0])!r} at x = {float(xs[0])!r})",
             check=LEMMA_ANCHOR[lemma_id],
         )
     root = _bisect(lambda v: float(lemma_margin(lemma_id, v, consts)),
@@ -372,6 +382,9 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
                 "removed balls stay disjoint", "disjointness r0 < pi/p")
 
     b = r0**2 / kappa
+    if not b > 0.0:
+        _reject(f"r0 = {r0!r} leaves no room for the bridge: r0^2/kappa = "
+                f"{b!r} is not positive", "Definition 2.8")
     margin0 = star_margin(R0, kappa, zeta, r0, 0.0)
     if margin0 <= 0.0:
         raise CertificationError(

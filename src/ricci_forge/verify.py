@@ -33,12 +33,7 @@ from .paramgen import (
     select_params,
     star_margin,
 )
-from .profile import (
-    ProfileC1,
-    build_bridge_theta,
-    smooth_profile,
-    validate_c1,
-)
+from .profile import ProfileC1, build_bridge_theta, validate_c1, validate_smooth
 
 SCHEMA = "ricci-forge/1"
 DEFAULT_POINTS = 10_000
@@ -135,7 +130,7 @@ def _result(name: str, margin: float | None, at: float | None,
 
 def _margin_results(margins, cause: str | None = None) -> dict:
     """Check results for the entries of a margin table that name a check;
-    entries that are not checks (such as ``attempts``) are left out."""
+    entries that are not checks (such as ``profile_le_sin``) are left out."""
     return {name: _result(name, *margins[name], cause)
             for name in margins if name in _ANCHORS}
 
@@ -246,26 +241,24 @@ def _error_text(e: Exception) -> str:
 
 @lru_cache(maxsize=8)
 def _profile_stage(cascade: ParamSet, gamma: BumpFunction, points: int):
-    """Bridge, C1 profile, its margins and the accepted smoothing for one
-    cascade; returns ``(c1_margins, smooth)``.
+    """Bridge, C1 profile and the margins of its C1 and smoothing clauses
+    for one cascade; returns ``(profile, c1_margins, smooth_margins)``.
 
     The profile does not depend on n or p, so ``cascade`` has both set to
     None and every (n, p) with the same other constants shares one entry;
     its margin tables are read-only because every such caller gets them.
-    Errors are not cached. A smoothing failure carries the C1 margins found
-    before it as ``c1_margins``.
+    Errors are not cached. A smoothing-clause failure carries the C1 margins
+    found before it as ``c1_margins``.
     """
     bridge = build_bridge_theta(cascade)
-    base = ProfileC1(params=cascade, bump=gamma, bridge=bridge)
-    c1_margins = MappingProxyType(validate_c1(base, points))
+    profile = ProfileC1(params=cascade, bump=gamma, bridge=bridge)
+    c1_margins = MappingProxyType(validate_c1(profile, points))
     try:
-        smooth = smooth_profile(base, cascade.mu, points=points)
+        smooth_margins = validate_smooth(profile, cascade.mu, points=points)
     except RicciForgeError as e:
         e.c1_margins = c1_margins
         raise
-    smooth = replace(smooth,
-                     smoothing_report=MappingProxyType(smooth.smoothing_report))
-    return c1_margins, smooth
+    return profile, c1_margins, MappingProxyType(smooth_margins)
 
 
 def run_verification(n: int, p: int, overrides=None,
@@ -318,8 +311,8 @@ def run_verification(n: int, p: int, overrides=None,
         "r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
     try:
-        c1_margins, smooth = _profile_stage(replace(params, n=None, p=None),
-                                            gamma, points)
+        profile, c1_margins, smooth_margins = _profile_stage(
+            replace(params, n=None, p=None), gamma, points)
     except RicciForgeError as e:
         cause = _error_text(e)
         results.update(_margin_results(getattr(e, "c1_margins", {})))
@@ -328,8 +321,8 @@ def run_verification(n: int, p: int, overrides=None,
                          f"profile construction failed ({cause})")
     results.update(_margin_results(c1_margins))
     # its lemma_2_15 entry is replaced by the curvature-grid check below
-    results.update(_margin_results(smooth.smoothing_report))
-    artifacts["profile"] = smooth
+    results.update(_margin_results(smooth_margins))
+    artifacts["profile"] = profile
 
     # curvature checks on the union of the interior grid and the boundary grid
     r0 = params.r0
@@ -337,7 +330,7 @@ def run_verification(n: int, p: int, overrides=None,
         np.linspace(RICCI_EPS, math.pi / 2, points),
         np.linspace(0.0, r0, points),
     ]))
-    curv = curvature_grid(smooth, params.n, r0, t_curv)
+    curv = curvature_grid(profile, params.n, r0, t_curv)
     artifacts["t_grid"] = t_curv
     artifacts["curvature"] = curv
 
@@ -351,7 +344,7 @@ def run_verification(n: int, p: int, overrides=None,
     # vanishes quadratically at the pole by construction
     mpos = (t_curv > 0.0) & (t_curv <= r0 + 1e-15)
     tp = t_curv[mpos]
-    vals = (1.0 - (smooth.d1(tp) / smooth.value(tp)) * np.tan(tp)) / tp**2
+    vals = (1.0 - (profile.d1(tp) / profile.value(tp)) * np.tan(tp)) / tp**2
     m, at = _refined_min(tp, vals)
     results["lemma_2_15"] = _result("lemma_2_15", m, at)
 
@@ -366,10 +359,10 @@ def run_verification(n: int, p: int, overrides=None,
         m, at = _refined_min(tb, col[mb] - cot_r0**2)
         results[name] = _result(name, m, at)
 
-    results["gauss_crosscheck"] = gauss_crosscheck(smooth, params)
+    results["gauss_crosscheck"] = gauss_crosscheck(profile, params)
     results["angle_identity"] = _angle_identity_check(r0, min(points, 2_000))
 
-    bm = boundary_metric(smooth, params, points)
+    bm = boundary_metric(profile, params, points)
     artifacts["boundary"] = bm
     results["tau_below_r0"] = _result("tau_below_r0", params.R0 - bm.tau, None)
     results["omega_exceeds_tau_power"] = _result(

@@ -9,7 +9,6 @@ from ricci_forge import (
     build_gamma,
     run_verification,
     select_params,
-    smooth_profile,
 )
 
 
@@ -54,11 +53,6 @@ def bridge33(params33):
 @pytest.fixture(scope="session")
 def profile33(params33, gamma33, bridge33):
     return ProfileC1(params=params33, bump=gamma33, bridge=bridge33)
-
-
-@pytest.fixture(scope="session")
-def smooth33(profile33, params33):
-    return smooth_profile(profile33, params33.mu)
 
 
 @pytest.fixture(scope="session")

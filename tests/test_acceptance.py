@@ -175,7 +175,7 @@ def test_criterion_8_rho_arithmetic(sweep):
 def test_criterion_9_profile_regularity(sweep):
     report, _ = sweep[(3, 1)]
     prof = report.artifacts["profile"]
-    ok = max(prof.base.junction_gaps().values()) < 1e-9
+    ok = max(prof.junction_gaps().values()) < 1e-9
     for name in ("lemma_2_13_a", "lemma_2_13_b", "lemma_2_13_c",
                  "corollary_2_14_concavity"):
         ok &= report.check(name).passed

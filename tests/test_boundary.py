@@ -58,8 +58,8 @@ def test_unrescaled_pole_distance_oracle(params33):
 
 
 @pytest.fixture(scope="module")
-def bm33(smooth33, params33):
-    return boundary_metric(smooth33, params33, 10_000)
+def bm33(profile33, params33):
+    return boundary_metric(profile33, params33, 10_000)
 
 
 def test_waist_closed_form(params33, bm33):

@@ -55,6 +55,27 @@ def test_invalid_override_value_fails_certification(tmp_path):
     assert any("2.1(c)" in c for c in causes)
 
 
+def test_tiny_mu_writes_failing_report(tmp_path):
+    out = tmp_path / "r.json"
+    code = run(["--dim", "3", "--punctures", "3", "--set", "mu=1e-300",
+                "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["overall"] == "fail"
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["parameter_invariants"]["passed"]
+    assert not checks["lemma_2_13_c"]["passed"]
+
+
+def test_failure_causes_carry_no_numpy_reprs(tmp_path):
+    out = tmp_path / "r.json"
+    code = run(["--dim", "3", "--punctures", "3", "--set", "kappa=1e6",
+                "--out", str(out), "--quiet"])
+    assert code == 1
+    causes = [c["cause"] for c in json.loads(out.read_text())["checks"] if c["cause"]]
+    assert causes and all("np." not in c for c in causes)
+
+
 def test_unknown_override_name_is_usage_error(capsys):
     assert run(["--dim", "3", "--punctures", "1", "--set", "bogus=1"]) == 2
     err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from ricci_forge import (
     select_params,
     threshold_scan,
 )
+from ricci_forge import paramgen
 from ricci_forge.paramgen import (
     SAFETY,
     X_MAX,
@@ -118,6 +119,23 @@ def test_threshold_scan_rejects_invalid_ordering():
     with pytest.raises(CertificationError) as err:
         threshold_scan(LemmaId.L2_2, {"kappa": 4.0, "zeta": 2.0})
     assert "Lemma 2.2" in str(err.value)
+
+
+def test_threshold_scans_shared_across_n_and_p():
+    paramgen._threshold_scan.cache_clear()
+    try:
+        first = select_params(3, 1)
+        second = select_params(13, 10)
+        info = paramgen._threshold_scan.cache_info()
+        # seven scans per cascade, all reused by the second (n, p)
+        assert (info.misses, info.hits) == (7, 7)
+        assert second.c == first.c
+        # a mapping that also carries unused constants shares the entry
+        extra = {"R0": first.R0, "kappa": first.kappa, "zeta": first.zeta, "r0": 0.01}
+        assert threshold_scan(LemmaId.L2_2, extra) == first.c[0]
+        assert paramgen._threshold_scan.cache_info().misses == 7
+    finally:
+        paramgen._threshold_scan.cache_clear()
 
 
 def test_compute_iota_positive_and_matches_dense_rescan(params33):

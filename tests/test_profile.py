@@ -9,7 +9,6 @@ from ricci_forge import (
     ConfigurationError,
     DomainError,
     build_gamma,
-    smooth_profile,
 )
 from ricci_forge.profile import BridgeTheta, validate_c1, validate_smooth
 
@@ -192,89 +191,80 @@ def test_profile_c1_derivative_consistency(profile33):
 
 
 # ---------------------------------------------------------------------------
-# smoothed profile
+# smoothing clauses, certified on the C1 profile
 # ---------------------------------------------------------------------------
 
-def test_smooth_identity_outside_windows(params33, profile33, smooth33):
-    p = params33
-    probe = np.array([
-        p.psi - 2 * p.mu, p.psi, 0.5 * (p.psi + p.t_cut), p.t_cut,
-        p.t_cut + 2 * p.mu, p.r0, 1.0, T_MAX,
-    ])
-    assert np.array_equal(smooth33.value(probe), profile33.value(probe))
-    assert np.array_equal(smooth33.d1(probe), profile33.d1(probe))
-    assert np.array_equal(smooth33.d2(probe), profile33.d2(probe))
-
-
-def test_smooth_slope_ratio_limit_at_pole(smooth33):
+def test_smooth_slope_ratio_limit_at_pole(profile33):
     t = 1e-8
-    assert abs((smooth33.d1(t) / smooth33.value(t)) * math.tan(t) - 1.0) < 1e-10
+    assert abs((profile33.d1(t) / profile33.value(t)) * math.tan(t) - 1.0) < 1e-10
 
 
-def test_smooth_ratio_band_on_outer_run(params33, smooth33):
+def test_smooth_ratio_band_on_outer_run(params33, profile33):
     # max of (R''/R + 1) over the outer run stays below mu
     p = params33
     ts = np.linspace(p.t_cut, p.r0, 20_001)
-    worst = np.max(smooth33.d2(ts) / smooth33.value(ts) + 1.0)
+    worst = np.max(profile33.d2(ts) / profile33.value(ts) + 1.0)
     assert worst < p.mu
 
 
-def test_smooth_clause_margins(params33, smooth33):
-    margins = validate_smooth(smooth33, points=5_000)
+def test_smooth_clause_margins(params33, profile33):
+    margins = validate_smooth(profile33, params33.mu, points=5_000)
     for name, (margin, _) in margins.items():
         if name == "profile_le_sin":
             assert margin >= 0.0
         else:
             assert margin > 0.0, name
     assert margins["lemma_2_13_a"][0] > 1.0
-    # vacuous-perturbation regime: drift margin equals the full budget
-    assert margins["lemma_2_13_c"][0] == pytest.approx(params33.mu, rel=1e-12)
+    # zero correction, zero drift: the margin is the full budget at the
+    # first point of the inner window
+    assert margins["lemma_2_13_c"][0] == params33.mu
+    assert params33.psi - params33.mu < margins["lemma_2_13_c"][1] < params33.psi
 
 
-def test_smooth_concave_everywhere(smooth33):
+def test_smooth_clause_failure_names_worst_clause(params33, profile33):
+    # for mu below double resolution next to 1, Lemma 2.13(b) reads
+    # -R''/R > 1, which fails where the outer piece is still an untapered
+    # sine and -R''/R = 1 exactly
+    with pytest.raises(CertificationError) as err:
+        validate_smooth(profile33, 1e-300)
+    assert err.value.check == "lemma_2_13_b"
+    assert err.value.margins["lemma_2_13_b"][0] == 0.0
+    assert "worst clause lemma_2_13_b" in str(err.value)
+
+
+def test_smooth_concave_everywhere(profile33):
     ts = np.linspace(0.0, T_MAX, 10_001)[1:]
-    assert np.max(smooth33.d2(ts)) < 0.0
+    assert np.max(profile33.d2(ts)) < 0.0
 
 
-def test_smooth_small_and_monotone_bounds(params33, smooth33):
+def test_smooth_small_and_monotone_bounds(params33, profile33):
     p = params33
     ts = np.linspace(0.0, p.r0, 10_001)
-    vals = smooth33.value(ts)
-    d1 = smooth33.d1(ts)
+    vals = profile33.value(ts)
+    d1 = profile33.d1(ts)
     assert np.all(np.sin(ts) - vals >= 0.0)
     assert np.all(d1 >= 0.0) and np.all(d1 <= 1.0)
     # squashed bound on the outer region, away from the very top where the
     # shifted sine already passed its maximum
     ts = np.linspace(p.t_cut, T_MAX - p.shift, 10_001)
-    assert np.all(p.R0 * np.sin(ts + p.shift) - smooth33.value(ts) >= 0.0)
+    assert np.all(p.R0 * np.sin(ts + p.shift) - profile33.value(ts) >= 0.0)
     ts = np.linspace(p.t_cut, T_MAX, 10_001)
-    assert np.all(smooth33.value(ts) <= p.R0)
+    assert np.all(profile33.value(ts) <= p.R0)
 
 
-def test_smooth_strict_slope_bound_outer_half(params33, smooth33):
+def test_smooth_strict_slope_bound_outer_half(params33, profile33):
     p = params33
     ts = np.linspace(p.r0 / 2, p.r0, 5_001)
-    margin = 1.0 - (smooth33.d1(ts) / smooth33.value(ts)) * np.tan(ts)
+    margin = 1.0 - (profile33.d1(ts) / profile33.value(ts)) * np.tan(ts)
     assert np.min(margin) > 0.0
-
-
-def test_smooth_derivative_consistency(smooth33):
-    r1, r2 = _fd_consistency(smooth33, 2e-3, T_MAX - 2e-4, seed=23)
-    assert r1 < 1e-5 and r2 < 1e-5
 
 
 def test_smooth_profile_rejects_bad_mu(profile33, params33):
     with pytest.raises(ConfigurationError) as err:
-        smooth_profile(profile33, params33.mu0 * 2.0)
+        validate_smooth(profile33, params33.mu0 * 2.0)
     assert "2.13" in str(err.value)
     with pytest.raises(ConfigurationError):
-        smooth_profile(profile33, 0.0)
-
-
-def test_smoothing_report_records_acceptance(smooth33):
-    rep = smooth33.smoothing_report
-    assert rep["attempts"] >= 1
-    assert rep["kernel_width"] > 0.0
+        validate_smooth(profile33, 0.0)
 
 
 # ---------------------------------------------------------------------------

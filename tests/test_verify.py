@@ -17,7 +17,9 @@ from ricci_forge import (
     verify,
 )
 from ricci_forge.bumps import _taper_derivative_sups
+from ricci_forge.paramgen import _threshold_scan
 from ricci_forge.cli import _boundary_csv, _curvature_csv, _profile_csv
+from ricci_forge.profile import validate_smooth
 from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, STRICT_FLOOR
 from test_acceptance import NS, PS
 
@@ -57,7 +59,9 @@ def test_higher_dimension_run(report_cache):
 @pytest.mark.parametrize("overrides,clause", [
     ({"zeta": 10.0 * (1.1 * 2.0 / math.sqrt(3.0 * 0.1)) ** 3}, "2.1(c)"),
     ({"Lambda": math.inf}, "2.7"),
-], ids=["zeta", "Lambda_inf"])
+    ({"r0": 1e-300}, "2.8"),
+    ({"Lambda": 2e154}, "2.7"),
+], ids=["zeta", "Lambda_inf", "r0_tiny", "Lambda_huge"])
 def test_invalid_override_fails_report_naming_clause(report_cache, overrides, clause):
     rep = report_cache(3, 1, overrides)
     assert not rep.overall
@@ -85,8 +89,8 @@ def test_gauss_crosscheck_round_hook(round_profile, params33):
     assert chk.margin > GAUSS_TOL - 1e-6
 
 
-def test_gauss_crosscheck_degenerate_grid(smooth33, params33):
-    chk = gauss_crosscheck(smooth33, params33)
+def test_gauss_crosscheck_degenerate_grid(profile33, params33):
+    chk = gauss_crosscheck(profile33, params33)
     assert chk.passed
 
 
@@ -150,6 +154,18 @@ def test_boundary_rho_default_midpoint(report33):
     assert bm.rho_default() == 0.5 * (lo + hi)
 
 
+def test_lemma_2_13_a_margin_is_inner_piece_value(report33):
+    # -R''/R = 4/r0^2 on the small-sphere piece, where the clause binds
+    r0 = report33.params.r0
+    assert report33.check("lemma_2_13_a").margin == pytest.approx(2.0 / r0**2, rel=1e-12)
+
+
+def test_mu_near_mu0_certifies(report_cache, params33):
+    rep = report_cache(3, 3, {"mu": 0.95 * params33.mu0})
+    assert rep.overall
+    assert rep.check("lemma_2_13_c").margin == 0.95 * params33.mu0
+
+
 def test_many_punctures_run_passes(report_cache):
     rep = report_cache(7, 100)
     assert rep.overall
@@ -163,6 +179,7 @@ def test_many_punctures_run_passes(report_cache):
 def _clear_caches():
     verify._profile_stage.cache_clear()
     _taper_derivative_sups.cache_clear()
+    _threshold_scan.cache_clear()
 
 
 def _csv_texts(report):
@@ -214,7 +231,7 @@ def test_profile_cache_misses_on_other_points_or_cascade(empty_profile_cache):
     assert coarse.check("lemma_2_9_iii").at != base.check("lemma_2_9_iii").at
     mu = base.params.mu / 2.0
     other = run_verification(3, 3, {"mu": mu})
-    assert other.artifacts["profile"].mu == mu != base.artifacts["profile"].mu
+    assert other.artifacts["profile"].params.mu == mu != base.artifacts["profile"].params.mu
     info = verify._profile_stage.cache_info()
     assert (info.misses, info.hits) == (3, 0)
 
@@ -222,12 +239,12 @@ def test_profile_cache_misses_on_other_points_or_cascade(empty_profile_cache):
 def test_profile_stage_failure_is_not_cached(empty_profile_cache, monkeypatch):
     calls = []
 
-    def failing_smooth(base, mu, points):
+    def failing_smooth(profile, mu, points):
         calls.append(points)
         raise CertificationError("injected smoothing failure", check="lemma_2_13_c",
                                  margins={"lemma_2_13_c": (-1.0, 0.5)})
 
-    monkeypatch.setattr(verify, "smooth_profile", failing_smooth)
+    monkeypatch.setattr(verify, "validate_smooth", failing_smooth)
     first = run_verification(3, 3)
     second = run_verification(3, 3)
     assert len(calls) == 2
@@ -251,9 +268,12 @@ def test_profile_stage_failure_is_not_cached(empty_profile_cache, monkeypatch):
     assert run_verification(3, 3).overall
 
 
-def test_profile_cache_stays_within_bound(empty_profile_cache, monkeypatch, smooth33):
-    # a stand-in smoothing keeps each miss cheap; only the cache size matters
-    monkeypatch.setattr(verify, "smooth_profile", lambda base, mu, points: smooth33)
+def test_profile_cache_stays_within_bound(empty_profile_cache, monkeypatch,
+                                          profile33, params33):
+    # a stand-in smoothing check keeps each miss cheap; only the cache size
+    # matters
+    margins = validate_smooth(profile33, params33.mu)
+    monkeypatch.setattr(verify, "validate_smooth", lambda profile, mu, points: margins)
     bound = verify._profile_stage.cache_info().maxsize
     for k in range(bound + 3):
         run_verification(3, 3, grid=GridSpec(points=200 + k, lo=0.0, hi=1.0))
