@@ -19,8 +19,9 @@ from .grids import GridSpec
 from .paramgen import OVERRIDE_NAMES
 from .verify import report_to_json, run_verification
 
-FLOAT_FMT = "{:.17g}"
 MIN_GRID = 100
+# rows rendered per step of a CSV dump: bounds the Python floats held at once
+CSV_BLOCK_ROWS = 4_096
 
 
 @dataclass
@@ -177,43 +178,48 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _fmt(x) -> str:
-    if x is None or not math.isfinite(x):
-        return ""
-    return FLOAT_FMT.format(float(x))
+def _csv(header: str, cols) -> str:
+    """CSV text of equal-length float columns under ``header``: every cell
+    is ``%.17g`` and a non-finite value is an empty cell.
+
+    Rows are rendered a block at a time, one ``%`` format per row. A finite
+    ``%.17g`` holds only digits, '-', '.', 'e' and '+', so in a block that
+    holds a non-finite value the 'nan', 'inf' and '-inf' tokens are deleted
+    from its text.
+    """
+    table = np.column_stack(cols)
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    parts = [header]
+    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        text = "\n".join([row_fmt % tuple(row) for row in block.tolist()])
+        if not np.isfinite(block).all():
+            text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
+        parts.append(text)
+    return "\n".join(parts) + "\n"
 
 
 def _profile_csv(report) -> str:
     profile = report.artifacts["profile"]
     ts = report.artifacts["t_grid"]
-    rows = ["t,R,R1,R2"]
-    vals, d1, d2 = profile.value(ts), profile.d1(ts), profile.d2(ts)
-    for i in range(ts.size):
-        rows.append(",".join(_fmt(v) for v in (ts[i], vals[i], d1[i], d2[i])))
-    return "\n".join(rows) + "\n"
+    return _csv("t,R,R1,R2",
+                (ts, profile.value(ts), profile.d1(ts), profile.d2(ts)))
 
 
 def _curvature_csv(report) -> str:
     curv = report.artifacts["curvature"]
-    rows = ["t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS"]
-    cols = (curv.t, curv.ric_tt, curv.ric_xx, curv.ric_ss,
-            curv.pc_circle, curv.pc_sphere, curv.ki_ys, curv.ki_ss)
-    for i in range(curv.t.size):
-        rows.append(",".join(_fmt(col[i]) for col in cols))
-    return "\n".join(rows) + "\n"
+    return _csv("t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
+                (curv.t, curv.ric_tt, curv.ric_xx, curv.ric_ss,
+                 curv.pc_circle, curv.pc_sphere, curv.ki_ys, curv.ki_ss))
 
 
 def _boundary_csv(report) -> str:
     bm = report.artifacts["boundary"]
-    rows = ["s,B,B1,B2,K_rad,K_tan"]
-    s, b, b1, b2 = (bm.samples[:, j] for j in range(4))
+    s, b, b1, b2 = bm.samples.T
     with np.errstate(divide="ignore", invalid="ignore"):
         k_rad = -b2 / b
         k_tan = (1.0 - b1**2) / b**2
-    for i in range(s.size):
-        rows.append(",".join(_fmt(v) for v in (s[i], b[i], b1[i], b2[i],
-                                               k_rad[i], k_tan[i])))
-    return "\n".join(rows) + "\n"
+    return _csv("s,B,B1,B2,K_rad,K_tan", (s, b, b1, b2, k_rad, k_tan))
 
 
 def _print_summary(report, cfg: RunConfig):

@@ -259,18 +259,23 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
     def outside(ts):
         return _mask_out(ts, spans)
 
-    def ratio_above(floor):
-        return lambda ts: -profile.d2(ts) / profile.value(ts) - floor
+    def ratio(ts):
+        return -profile.d2(ts) / profile.value(ts)
+
+    # -R''/R > 1 - mu, written (-R''/R - 1) + mu: on the untapered outer
+    # piece -R''/R is exactly 1, and 1 - mu would round mu away
+    def ratio_above_one_minus_mu(ts):
+        return (ratio(ts) - 1.0) + mu
 
     margins = {
         # the junction t = r0^2/kappa itself belongs to the outer piece; the
         # concavity clause constrains the profile approaching it from the
         # left, so the grid stays strictly below it
         "lemma_2_13_a": _min_over(
-            ratio_above(2.0 / r0**2),
+            lambda ts: ratio(ts) - 2.0 / r0**2,
             outside(open_grid(0.0, b, points, open_lo=True, open_hi=True)), gA),
         "lemma_2_13_b": _min_over(
-            ratio_above(1.0 - mu),
+            ratio_above_one_minus_mu,
             np.concatenate([np.linspace(b, b + mu, 1_001), gB])),
         # the smoothing correction is zero, so the drift of R'/R it causes
         # is zero and the whole budget mu remains
@@ -280,7 +285,7 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
             outside(open_grid(0.0, T_MAX, points, open_lo=True)),
             np.concatenate([gA, gB])),
         "corollary_2_14_ratio": _min_over(
-            ratio_above(1.0 - mu), outside(np.linspace(b, r0, points)), gB),
+            ratio_above_one_minus_mu, outside(np.linspace(b, r0, points)), gB),
         # Inside the windows the slope bound follows from the drift clause
         # plus the profile's own margin; its direct gap there scales like t^2
         # and sits below double resolution, so windows are not sampled here.

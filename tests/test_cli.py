@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from ricci_forge.cli import run
+from ricci_forge.cli import CSV_BLOCK_ROWS, MIN_GRID, _csv, run
+from ricci_forge.grids import GridSpec
+from ricci_forge.verify import report_to_json, run_verification
 
 
 def _run_full(tmp_path, grid=1_000, extra=()):
@@ -65,6 +67,11 @@ def test_tiny_mu_writes_failing_report(tmp_path):
     checks = {c["name"]: c for c in report["checks"]}
     assert checks["parameter_invariants"]["passed"]
     assert not checks["lemma_2_13_c"]["passed"]
+    # the ratio clauses keep the whole budget mu and fail only on the floor;
+    # the checks after the profile stage run instead of being skipped
+    for name in ("lemma_2_13_b", "corollary_2_14_ratio"):
+        assert checks[name]["margin"] == 1e-300 and not checks[name]["passed"]
+    assert checks["ricci_tt_positive"]["passed"]
 
 
 def test_failure_causes_carry_no_numpy_reprs(tmp_path):
@@ -178,6 +185,41 @@ def test_csv_margins_reproduce_report(cli_outputs):
     slope_margin = np.min(
         (1.0 - (R1[sel] / R[sel]) * np.tan(tp[sel])) / tp[sel] ** 2)
     assert abs(float(slope_margin) - margins["lemma_2_15"]) < 1e-6
+
+
+def _reference_csv(header, cols):
+    """The cell rule, one cell at a time: empty if not finite, else %.17g."""
+    rows = [header]
+    for row in zip(*cols):
+        rows.append(",".join(
+            "" if not math.isfinite(v) else "{:.17g}".format(float(v)) for v in row))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS,
+                                  2 * CSV_BLOCK_ROWS + 1])
+def test_csv_renderer_matches_cell_rule(rows):
+    finite = [-0.0, 5e-324, 1e-300, 0.1, 1 / 3, -2.5e17, 1e16]
+    cols = [np.resize(np.roll(finite, k), rows) for k in range(4)]
+    # non-finite values only in the last block, which is partial for 1 and
+    # 2 * CSV_BLOCK_ROWS + 1 rows
+    cols[0][-1], cols[1][-1], cols[2][-1] = math.nan, math.inf, -math.inf
+    text = _csv("a,b,c,d", cols)
+    assert text == _reference_csv("a,b,c,d", cols)
+    assert text.count("\n") == rows + 1
+    assert text.endswith("\n,,," + "{:.17g}".format(cols[3][-1]) + "\n")
+
+
+def test_minimum_grid_dumps_every_row(tmp_path):
+    code, out, prof, curv, bdry = _run_full(tmp_path, grid=MIN_GRID)
+    assert code == 0
+    report = run_verification(
+        3, 3, grid=GridSpec(points=MIN_GRID, lo=0.0, hi=math.pi / 2))
+    assert out.read_text() == report_to_json(report)
+    t_rows = report.artifacts["t_grid"].size
+    b_rows = report.artifacts["boundary"].samples.shape[0]
+    for path, count in ((prof, t_rows), (curv, t_rows), (bdry, b_rows)):
+        assert len(path.read_text().splitlines()) - 1 == count, path.name
 
 
 def test_console_entry_point(tmp_path):

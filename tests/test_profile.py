@@ -10,7 +10,7 @@ from ricci_forge import (
     DomainError,
     build_gamma,
 )
-from ricci_forge.profile import BridgeTheta, validate_c1, validate_smooth
+from ricci_forge.profile import BridgeTheta, ProfileC1, validate_c1, validate_smooth
 
 mpmath.mp.dps = 40
 
@@ -221,15 +221,31 @@ def test_smooth_clause_margins(params33, profile33):
     assert params33.psi - params33.mu < margins["lemma_2_13_c"][1] < params33.psi
 
 
-def test_smooth_clause_failure_names_worst_clause(params33, profile33):
-    # for mu below double resolution next to 1, Lemma 2.13(b) reads
-    # -R''/R > 1, which fails where the outer piece is still an untapered
-    # sine and -R''/R = 1 exactly
+def test_smooth_ratio_margins_keep_tiny_mu(params33, profile33):
+    # -R''/R = 1 exactly on the untapered outer piece, so both ratio
+    # clauses bind there at the whole budget mu, however small mu is
+    for mu in (params33.mu, 1e-300):
+        margins = validate_smooth(profile33, mu, points=2_000)
+        assert margins["lemma_2_13_b"][0] == mu
+        assert margins["corollary_2_14_ratio"][0] == mu
+
+
+class _QuarterCurvature(ProfileC1):
+    """The default profile with R'' scaled by 1/4: -R''/R = 1/r0^2 on the
+    inner piece, below the 2/r0^2 that Lemma 2.13(a) asks for."""
+
+    def d2(self, t):
+        return 0.25 * super().d2(t)
+
+
+def test_smooth_clause_failure_names_worst_clause(params33, gamma33, bridge33):
+    profile = _QuarterCurvature(params=params33, bump=gamma33, bridge=bridge33)
     with pytest.raises(CertificationError) as err:
-        validate_smooth(profile33, 1e-300)
-    assert err.value.check == "lemma_2_13_b"
-    assert err.value.margins["lemma_2_13_b"][0] == 0.0
-    assert "worst clause lemma_2_13_b" in str(err.value)
+        validate_smooth(profile, params33.mu)
+    assert err.value.check == "lemma_2_13_a"
+    assert err.value.margins["lemma_2_13_a"][0] == pytest.approx(
+        -1.0 / params33.r0**2, rel=1e-9)
+    assert "worst clause lemma_2_13_a" in str(err.value)
 
 
 def test_smooth_concave_everywhere(profile33):
