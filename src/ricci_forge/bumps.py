@@ -76,11 +76,23 @@ def step_d2(u):
     return _wrap(out, scalar)
 
 
+def _abs_peak(deriv):
+    """(max |deriv|, argmax) on [0, 1]: a grid of spacing 1e-5 brackets the
+    peak and 2,001 points across the bracket (spacing 1e-8) locate it. The
+    peak is interior, since every derivative of S vanishes at 0 and 1."""
+    g = np.linspace(0.0, 1.0, 100_001)
+    i = int(np.argmax(np.abs(deriv(g))))
+    g = np.linspace(g[i - 1], g[i + 1], 2_001)
+    vals = np.abs(deriv(g))
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(g[i])
+
+
 @lru_cache(maxsize=None)
-def step_derivative_sups(points: int = 100_001) -> tuple[float, float]:
-    """Grid suprema of |S'| and |S''| on [0, 1]."""
-    g = np.linspace(0.0, 1.0, points)
-    return float(np.max(np.abs(step_d1(g)))), float(np.max(np.abs(step_d2(g))))
+def step_derivative_sups():
+    """Suprema of |S'| and |S''| on [0, 1], each with the u where it is
+    attained: ``((s1, u1), (s2, u2))``."""
+    return _abs_peak(step_d1), _abs_peak(step_d2)
 
 
 # ---------------------------------------------------------------------------
@@ -107,21 +119,12 @@ class BumpFunction:
         x, scalar = _as_array(x)
         return _wrap(step_d2(x / self.Lambda) / self.Lambda**2, scalar)
 
-    def derivative_sups(self, points: int = 100_001, pad: float = 1.0):
-        """Grid suprema of |gamma'| and |gamma''| over [-pad, Lambda + pad],
-        with the locations where they are attained."""
-        return _taper_derivative_sups(self, points, pad)
-
-
-# Keyed on (Lambda, points, pad): select_params and run_verification scan the
-# same taper three times per certification; the result is immutable floats.
-@lru_cache(maxsize=8)
-def _taper_derivative_sups(gamma: BumpFunction, points: int, pad: float):
-    g = np.linspace(-pad, gamma.Lambda + pad, points)
-    d1 = np.abs(gamma.d1(g))
-    d2 = np.abs(gamma.d2(g))
-    i1, i2 = int(np.argmax(d1)), int(np.argmax(d2))
-    return (float(d1[i1]), float(g[i1])), (float(d2[i2]), float(g[i2]))
+    def derivative_sups(self):
+        """``((sup|gamma'|, x1), (sup|gamma''|, x2))`` with the x attaining
+        each: gamma(x) = S(x/Lambda) scales the unit step's by 1/Lambda^k."""
+        (s1, u1), (s2, u2) = step_derivative_sups()
+        lam = self.Lambda
+        return (s1 / lam, lam * u1), (s2 / lam**2, lam * u2)
 
 
 def build_gamma(R0: float, Lambda: float | None = None) -> BumpFunction:
@@ -136,7 +139,7 @@ def build_gamma(R0: float, Lambda: float | None = None) -> BumpFunction:
             f"R0 = {R0!r} outside (0, 1/10] (Definition 2.1(a))",
             clause="Definition 2.1(a)",
         )
-    s1, s2 = step_derivative_sups()
+    (s1, _), (s2, _) = step_derivative_sups()
     if Lambda is None:
         Lambda = max(1.0 / R0 + 1.0, 1.1 * s1 / R0, 1.1 * math.sqrt(s2 / R0))
     if not Lambda > 1.0 / R0:

@@ -32,6 +32,10 @@ SAFETY = 0.9
 PSI_RELATIVE_MARGIN = 1e-3
 PSI_MAX_HALVINGS = 60
 
+# A strict check passes when its margin exceeds this floor. The cascade
+# rejects mu at or below it: Lemma 2.13(c) is certified at margin exactly mu.
+STRICT_FLOOR = 1e-12
+
 
 class LemmaId(str, Enum):
     L2_2 = "L2_2"
@@ -414,6 +418,10 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
         _reject(f"mu = {mu!r} outside (0, mu0) with mu0 = {mu0!r}; "
                 "mu < mu0 is what keeps mu*tan(r0) below iota",
                 "Lemma 2.13 (mu in (0, mu0))")
+    if not mu > STRICT_FLOOR:
+        _reject(f"mu = {mu!r} must exceed the strict-check floor "
+                f"{STRICT_FLOOR!r}: the drift clause keeps a margin of exactly mu",
+                "Lemma 2.13(c)")
 
     return ParamSet(n=n, p=p, R0=R0, kappa=kappa, zeta=zeta, Lambda=Lambda,
                     r0=r0, c=c, psi=psi, iota=iota, mu0=mu0, mu=mu)

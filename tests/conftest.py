@@ -51,8 +51,8 @@ def bridge33(params33):
 
 
 @pytest.fixture(scope="session")
-def profile33(params33, gamma33, bridge33):
-    return ProfileC1(params=params33, bump=gamma33, bridge=bridge33)
+def profile33(params33, bridge33):
+    return ProfileC1(params=params33, bridge=bridge33)
 
 
 @pytest.fixture(scope="session")

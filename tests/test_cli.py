@@ -58,20 +58,20 @@ def test_invalid_override_value_fails_certification(tmp_path):
 
 
 def test_tiny_mu_writes_failing_report(tmp_path):
+    # Lemma 2.13(c) is certified at margin exactly mu, so the cascade rejects
+    # a mu at or below the strict floor by name instead of certifying it
     out = tmp_path / "r.json"
-    code = run(["--dim", "3", "--punctures", "3", "--set", "mu=1e-300",
-                "--out", str(out)])
-    assert code == 1
-    report = json.loads(out.read_text())
-    assert report["overall"] == "fail"
-    checks = {c["name"]: c for c in report["checks"]}
-    assert checks["parameter_invariants"]["passed"]
-    assert not checks["lemma_2_13_c"]["passed"]
-    # the ratio clauses keep the whole budget mu and fail only on the floor;
-    # the checks after the profile stage run instead of being skipped
-    for name in ("lemma_2_13_b", "corollary_2_14_ratio"):
-        assert checks[name]["margin"] == 1e-300 and not checks[name]["passed"]
-    assert checks["ricci_tt_positive"]["passed"]
+    for mu in ("1e-300", "1e-12"):
+        code = run(["--dim", "3", "--punctures", "3", "--set", f"mu={mu}",
+                    "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["overall"] == "fail"
+        first, *rest = report["checks"]
+        assert first["name"] == "parameter_invariants" and not first["passed"]
+        assert "Lemma 2.13(c)" in first["cause"] and f"mu = {mu}" in first["cause"]
+        skip = f"skipped: parameter cascade failed ({first['cause']})"
+        assert all(c["cause"] == skip and not c["passed"] for c in rest)
 
 
 def test_failure_causes_carry_no_numpy_reprs(tmp_path):

@@ -10,6 +10,7 @@ from ricci_forge import (
     DomainError,
     build_gamma,
 )
+from ricci_forge.bumps import step_derivative_sups
 from ricci_forge.profile import BridgeTheta, ProfileC1, validate_c1, validate_smooth
 
 mpmath.mp.dps = 40
@@ -60,6 +61,48 @@ def test_build_gamma_rejects_small_support():
     with pytest.raises(ConfigurationError) as err:
         build_gamma(0.1, Lambda=5.0)
     assert "2.7" in str(err.value)
+
+
+def test_build_gamma_rejects_steep_taper():
+    # Lambda = 15 clears Lambda > 1/R0, but sup|gamma'| = 2/15 exceeds R0
+    with pytest.raises(ConfigurationError) as err:
+        build_gamma(0.1, Lambda=15.0)
+    assert err.value.clause == "Definition 2.7"
+    assert "taper derivative bounds violated" in str(err.value)
+
+
+def _unit_step_mp(u):
+    return 1 / (1 + mpmath.exp(1 / (1 - u) - 1 / u))
+
+
+def _mp_sup_abs_derivative(order):
+    """sup |S^(order)| on (0, 1): a coarse scan brackets the peak, then the
+    next derivative's root locates it in extended precision."""
+    us = [mpmath.mpf(k) / 200 for k in range(1, 200)]
+    k = max(range(1, len(us) - 1),
+            key=lambda i: abs(mpmath.diff(_unit_step_mp, us[i], order)))
+    u = mpmath.findroot(lambda v: mpmath.diff(_unit_step_mp, v, order + 1),
+                        (us[k - 1], us[k + 1]), solver="anderson")
+    return abs(mpmath.diff(_unit_step_mp, u, order))
+
+
+def test_step_derivative_sups_match_extended_precision():
+    (s1, _), (s2, _) = step_derivative_sups()
+    assert s1 == pytest.approx(float(_mp_sup_abs_derivative(1)), rel=1e-9)
+    assert s2 == pytest.approx(float(_mp_sup_abs_derivative(2)), rel=1e-9)
+
+
+@pytest.mark.parametrize("Lambda", [None, 30.0, 100.0], ids=["default", "30", "100"])
+def test_taper_derivative_sups_match_dense_scan(Lambda):
+    gamma = build_gamma(0.1, Lambda)
+    xs = np.linspace(0.0, gamma.Lambda, 200_001)
+    step = gamma.Lambda * 1e-5  # the unit-step grid spacing, in x
+    for (sup, at), d in zip(gamma.derivative_sups(), (gamma.d1(xs), gamma.d2(xs))):
+        d = np.abs(d)
+        i = int(np.argmax(d))
+        assert sup == pytest.approx(d[i], rel=1e-9)
+        # |gamma''| peaks twice, symmetrically about Lambda/2, at equal values
+        assert min(abs(at - xs[i]), abs(gamma.Lambda - at - xs[i])) <= step
 
 
 def test_build_gamma_rejects_bad_squash():
@@ -127,13 +170,13 @@ def test_profile_outer_end_equals_squash(params33, profile33):
     assert profile33.value(T_MAX) == params33.R0
 
 
-def test_profile_piece_formulas(params33, profile33):
+def test_profile_piece_formulas(params33, gamma33, profile33):
     p = params33
     ts = np.linspace(0.0, p.psi, 50)
     assert np.array_equal(profile33.value(ts), (p.r0 / 2) * np.sin(2 * ts / p.r0))
     ts = np.linspace(p.t_cut, T_MAX, 50)
     x = ts / p.r0 - 1.0
-    expected = p.R0 * np.sin(ts + p.shift * profile33.bump.value(x))
+    expected = p.R0 * np.sin(ts + p.shift * gamma33.value(x))
     assert np.array_equal(profile33.value(ts), expected)
 
 
@@ -238,14 +281,29 @@ class _QuarterCurvature(ProfileC1):
         return 0.25 * super().d2(t)
 
 
-def test_smooth_clause_failure_names_worst_clause(params33, gamma33, bridge33):
-    profile = _QuarterCurvature(params=params33, bump=gamma33, bridge=bridge33)
+def test_smooth_clause_failure_names_worst_clause(params33, bridge33):
+    profile = _QuarterCurvature(params=params33, bridge=bridge33)
     with pytest.raises(CertificationError) as err:
         validate_smooth(profile, params33.mu)
     assert err.value.check == "lemma_2_13_a"
     assert err.value.margins["lemma_2_13_a"][0] == pytest.approx(
         -1.0 / params33.r0**2, rel=1e-9)
     assert "worst clause lemma_2_13_a" in str(err.value)
+
+
+def test_lemma_2_15_margin_per_unit_t2_on_both_paths(params33, bridge33, profile33,
+                                                      report33):
+    # a failing smoothing stage reports the slope bound in the unit of a
+    # passing report: per unit t^2
+    reported = report33.check("lemma_2_15").margin
+    assert validate_smooth(profile33, params33.mu)["lemma_2_15"][0] == reported
+    profile = _QuarterCurvature(params=params33, bridge=bridge33)
+    with pytest.raises(CertificationError) as err:
+        validate_smooth(profile, params33.mu)
+    margin, t = err.value.margins["lemma_2_15"]
+    raw = 1.0 - (profile.d1(t) / profile.value(t)) * math.tan(t)
+    assert margin == pytest.approx(raw / t**2, rel=1e-12)
+    assert margin == pytest.approx(reported, rel=1e-12)
 
 
 def test_smooth_concave_everywhere(profile33):

@@ -16,7 +16,6 @@ from ricci_forge import (
     run_verification,
     verify,
 )
-from ricci_forge.bumps import _taper_derivative_sups
 from ricci_forge.paramgen import _threshold_scan
 from ricci_forge.cli import _boundary_csv, _curvature_csv, _profile_csv
 from ricci_forge.profile import validate_smooth
@@ -178,7 +177,6 @@ def test_many_punctures_run_passes(report_cache):
 
 def _clear_caches():
     verify._profile_stage.cache_clear()
-    _taper_derivative_sups.cache_clear()
     _threshold_scan.cache_clear()
 
 
