@@ -56,7 +56,7 @@ def _rescaled_warp(profile, r0):
 
     def B(s):
         unrescaled = np.clip(np.asarray(s, dtype=float) * tan_r0, 0.0, s_max)
-        return cot_r0 * profile.value(t_of_s(r0, unrescaled))
+        return cot_r0 * profile.jet(t_of_s(r0, unrescaled))[0]
 
     return B
 
@@ -91,7 +91,7 @@ def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> Boundary
         d1[idx] = sgn * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h_pole)
         d2[idx] = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / h_pole**2
 
-    tau = (1.0 / math.tan(r0)) * float(profile.value(r0))
+    tau = (1.0 / math.tan(r0)) * float(profile.jet(r0)[0])
     rho_lo = tau ** ((n - 2) / (n - 1))
     return BoundaryMetric(
         r0=r0, n=n, omega=omega, tau=tau,
@@ -100,13 +100,13 @@ def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> Boundary
     )
 
 
-def rho_interval(bm: BoundaryMetric, n: int):
+def rho_interval(bm: BoundaryMetric):
     """Admissible interval for the gluing radius parameter: the lower end is
     the waist power tau^((n-2)/(n-1)), the upper end min(omega, 1/2); its
     non-emptiness is the arithmetic the final assembly rests on."""
-    if n < 3:
-        raise DomainError(f"n = {n!r} must be >= 3")
-    lo = bm.tau ** ((n - 2) / (n - 1))
+    if bm.n < 3:
+        raise DomainError(f"n = {bm.n!r} must be >= 3")
+    lo = bm.rho_lo
     hi = min(bm.omega, 0.5)
     if not lo < hi:
         raise CertificationError(

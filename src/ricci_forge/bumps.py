@@ -33,33 +33,12 @@ def _exp_pair(u):
     return e1, e2
 
 
-def step_value(u):
+def step_jet(u):
+    """``(S, S', S'')`` at u, from one evaluation of the exponential pair."""
     u, scalar = _as_array(u)
-    out = np.where(u <= 0.0, 1.0, 0.0)
-    m = (u > 0.0) & (u < 1.0)
-    if np.any(m):
-        e1, e2 = _exp_pair(u[m])
-        out[m] = e2 / (e1 + e2)
-    return _wrap(out, scalar)
-
-
-def step_d1(u):
-    u, scalar = _as_array(u)
-    out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
-    if np.any(m):
-        uu = u[m]
-        e1, e2 = _exp_pair(uu)
-        p = e1 / uu**2
-        q = -e2 / (1.0 - uu) ** 2
-        den = e1 + e2
-        out[m] = (q * e1 - e2 * p) / den**2
-    return _wrap(out, scalar)
-
-
-def step_d2(u):
-    u, scalar = _as_array(u)
-    out = np.zeros_like(u)
+    s0 = np.where(u <= 0.0, 1.0, 0.0)
+    s1 = np.zeros_like(u)
+    s2 = np.zeros_like(u)
     m = (u > 0.0) & (u < 1.0)
     if np.any(m):
         uu = u[m]
@@ -72,27 +51,29 @@ def step_d2(u):
         dden = p + q
         num = q * e1 - e2 * p
         dnum = qq * e1 - e2 * pp
-        out[m] = dnum / den**2 - 2.0 * num * dden / den**3
-    return _wrap(out, scalar)
-
-
-def _abs_peak(deriv):
-    """(max |deriv|, argmax) on [0, 1]: a grid of spacing 1e-5 brackets the
-    peak and 2,001 points across the bracket (spacing 1e-8) locate it. The
-    peak is interior, since every derivative of S vanishes at 0 and 1."""
-    g = np.linspace(0.0, 1.0, 100_001)
-    i = int(np.argmax(np.abs(deriv(g))))
-    g = np.linspace(g[i - 1], g[i + 1], 2_001)
-    vals = np.abs(deriv(g))
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(g[i])
+        s0[m] = e2 / den
+        s1[m] = num / den**2
+        s2[m] = dnum / den**2 - 2.0 * num * dden / den**3
+    return tuple(_wrap(a, scalar) for a in (s0, s1, s2))
 
 
 @lru_cache(maxsize=None)
 def step_derivative_sups():
     """Suprema of |S'| and |S''| on [0, 1], each with the u where it is
-    attained: ``((s1, u1), (s2, u2))``."""
-    return _abs_peak(step_d1), _abs_peak(step_d2)
+    attained: ``((s1, u1), (s2, u2))``. One jet on a grid of spacing 1e-5
+    brackets both peaks and 2,001 points across each bracket (spacing 1e-8)
+    locate it. The peaks are interior, since every derivative of S vanishes
+    at 0 and 1."""
+    g = np.linspace(0.0, 1.0, 100_001)
+    coarse = step_jet(g)
+    sups = []
+    for k in (1, 2):
+        i = int(np.argmax(np.abs(coarse[k])))
+        fine = np.linspace(g[i - 1], g[i + 1], 2_001)
+        vals = np.abs(step_jet(fine)[k])
+        j = int(np.argmax(vals))
+        sups.append((float(vals[j]), float(fine[j])))
+    return tuple(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +88,13 @@ class BumpFunction:
 
     Lambda: float
 
-    def value(self, x):
+    def jet(self, x):
+        """``(gamma, gamma', gamma'')`` at x: the unit step's jet at
+        x/Lambda scaled by 1/Lambda^k."""
         x, scalar = _as_array(x)
-        return _wrap(step_value(x / self.Lambda), scalar)
-
-    def d1(self, x):
-        x, scalar = _as_array(x)
-        return _wrap(step_d1(x / self.Lambda) / self.Lambda, scalar)
-
-    def d2(self, x):
-        x, scalar = _as_array(x)
-        return _wrap(step_d2(x / self.Lambda) / self.Lambda**2, scalar)
+        s0, s1, s2 = step_jet(x / self.Lambda)
+        return tuple(_wrap(a, scalar) for a in
+                     (s0, s1 / self.Lambda, s2 / self.Lambda**2))
 
     def derivative_sups(self):
         """``((sup|gamma'|, x1), (sup|gamma''|, x2))`` with the x attaining

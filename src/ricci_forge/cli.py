@@ -203,7 +203,7 @@ def _profile_csv(report) -> str:
     profile = report.artifacts["profile"]
     ts = report.artifacts["t_grid"]
     return _csv("t,R,R1,R2",
-                (ts, profile.value(ts), profile.d1(ts), profile.d2(ts)))
+                (ts, *profile.jet(ts)))
 
 
 def _curvature_csv(report) -> str:

@@ -2,9 +2,10 @@
 dt^2 + cos^2(t) ds_1^2 + R^2(t) ds_{n-2}^2 and of the boundary sphere left
 by removing a geodesic ball of radius r0 centred on the t = 0 circle.
 
-All evaluators take any object exposing ``value``/``d1``/``d2`` and a
-``zero_limits`` property with the t -> 0+ limits of (-R''/R, (1-R'^2)/R^2);
-the pole t = 0 is handled through those limits.
+All evaluators take any object exposing ``jet(t)``, returning the triple
+(R, R', R'') at t, and a ``zero_limits`` property with the t -> 0+ limits of
+(-R''/R, (1-R'^2)/R^2). Each evaluator reads one jet; the pole t = 0 is
+handled through those limits.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ def ricci_components(profile, n: int, t):
     ric_ss = np.empty_like(t)
     if np.any(reg):
         tr = t[reg]
-        R = profile.value(tr)
-        R1 = profile.d1(tr)
-        R2 = profile.d2(tr)
+        R, R1, R2 = profile.jet(tr)
         neg_ratio = -R2 / R
         slope_tan = (R1 / R) * np.tan(tr)
         ric_tt[reg] = 1.0 + (n - 2) * neg_ratio
@@ -55,45 +54,43 @@ def ricci_components(profile, n: int, t):
     return tuple(_wrap(a, scalar) for a in (ric_tt, ric_xx, ric_ss))
 
 
-def principal_curvatures(profile, r0: float, t):
-    """The two principal curvature families of the boundary sphere with
-    respect to the inward normal."""
-    t, scalar = _prep(t, 0.0, r0, "principal_curvatures")
+def _boundary_columns(profile, r0: float, t, what: str):
+    """(pc_circle, pc_sphere, ki_ys, ki_ss) at t in [0, r0] from one jet."""
+    t, scalar = _prep(t, 0.0, r0, what)
     cot_r0 = 1.0 / math.tan(r0)
-    pc_circle = np.full_like(t, -cot_r0)
-    pc_sphere = np.empty_like(t)
-    pole = t <= POLE_EPS
-    reg = ~pole
-    if np.any(reg):
-        tr = t[reg]
-        ratio = profile.d1(tr) / profile.value(tr)
-        pc_sphere[reg] = -ratio * cot_r0 * np.tan(tr)
-    pc_sphere[pole] = -cot_r0
-    return _wrap(pc_circle, scalar), _wrap(pc_sphere, scalar)
-
-
-def intrinsic_sectional(profile, r0: float, t):
-    """Sectional curvatures of the induced boundary metric: mixed plane
-    (meridian wedge sphere direction) and sphere-sphere plane."""
-    t, scalar = _prep(t, 0.0, r0, "intrinsic_sectional")
     cot2 = 1.0 / math.tan(r0) ** 2
     lim2, lim3 = profile.zero_limits
+    pc_circle = np.full_like(t, -cot_r0)
+    pc_sphere = np.empty_like(t)
     ki_ys = np.empty_like(t)
     ki_ss = np.empty_like(t)
     pole = t <= POLE_EPS
     reg = ~pole
     if np.any(reg):
         tr = t[reg]
-        R = profile.value(tr)
-        R1 = profile.d1(tr)
-        R2 = profile.d2(tr)
+        R, R1, R2 = profile.jet(tr)
         tan = np.tan(tr)
+        ratio = R1 / R
+        pc_sphere[reg] = -ratio * cot_r0 * tan
         c = cot2 * tan**2
-        ki_ys[reg] = -(R2 / R) * (1.0 - c) + (R1 / R) * cot2 * tan * (1.0 + tan**2)
+        ki_ys[reg] = -(R2 / R) * (1.0 - c) + ratio * cot2 * tan * (1.0 + tan**2)
         ki_ss[reg] = (1.0 - R1**2 * (1.0 - c)) / R**2
+    pc_sphere[pole] = -cot_r0
     ki_ys[pole] = lim2 + cot2
     ki_ss[pole] = lim3 + cot2
-    return _wrap(ki_ys, scalar), _wrap(ki_ss, scalar)
+    return tuple(_wrap(a, scalar) for a in (pc_circle, pc_sphere, ki_ys, ki_ss))
+
+
+def principal_curvatures(profile, r0: float, t):
+    """The two principal curvature families of the boundary sphere with
+    respect to the inward normal."""
+    return _boundary_columns(profile, r0, t, "principal_curvatures")[:2]
+
+
+def intrinsic_sectional(profile, r0: float, t):
+    """Sectional curvatures of the induced boundary metric: mixed plane
+    (meridian wedge sphere direction) and sphere-sphere plane."""
+    return _boundary_columns(profile, r0, t, "intrinsic_sectional")[2:]
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,8 @@ def curvature_grid(profile, n: int, r0: float, grid) -> CurvatureGridResult:
     mb = ts <= r0 + 1e-15
     if np.any(mb):
         tb = np.clip(ts[mb], 0.0, r0)
-        pc_circle[mb], pc_sphere[mb] = principal_curvatures(profile, r0, tb)
-        ki_ys[mb], ki_ss[mb] = intrinsic_sectional(profile, r0, tb)
+        (pc_circle[mb], pc_sphere[mb],
+         ki_ys[mb], ki_ss[mb]) = _boundary_columns(profile, r0, tb, "curvature_grid")
     return CurvatureGridResult(
         t=ts, ric_tt=ric_tt, ric_xx=ric_xx, ric_ss=ric_ss,
         pc_circle=pc_circle, pc_sphere=pc_sphere, ki_ys=ki_ys, ki_ss=ki_ss,

@@ -58,23 +58,16 @@ class BridgeTheta:
         return np.clip((np.asarray(t, dtype=float) - self.psi) / (self.b - self.psi),
                        0.0, None)
 
-    def value(self, t):
+    def jet(self, t):
+        """``(theta, theta', theta'')`` at t."""
         t, scalar = _as_array(t)
         u = self._u(t)
-        out = (self.dtheta_b * (self.b - self.psi) / (self.q + 1.0)) * u ** (self.q + 1.0)
-        return _wrap(out, scalar)
-
-    def d1(self, t):
-        t, scalar = _as_array(t)
-        out = self.dtheta_b * self._u(t) ** self.q
-        return _wrap(out, scalar)
-
-    def d2(self, t):
-        t, scalar = _as_array(t)
-        u = self._u(t)
+        width = self.b - self.psi
+        th0 = (self.dtheta_b * width / (self.q + 1.0)) * u ** (self.q + 1.0)
+        th1 = self.dtheta_b * u ** self.q
         with np.errstate(divide="ignore", over="ignore"):
-            out = (self.dtheta_b * self.q / (self.b - self.psi)) * u ** (self.q - 1.0)
-        return _wrap(out, scalar)
+            th2 = (self.dtheta_b * self.q / width) * u ** (self.q - 1.0)
+        return tuple(_wrap(a, scalar) for a in (th0, th1, th2))
 
 
 def build_bridge_theta(params: ParamSet) -> BridgeTheta:
@@ -107,60 +100,42 @@ class ProfileC1:
     params: ParamSet
     bridge: BridgeTheta
 
-    # piece evaluators -----------------------------------------------------
+    # piece jets: (R, R', R'') of each piece's formula ----------------------
 
-    def inner_eval(self, t, order: int = 0):
+    def inner_jet(self, t):
         r0 = self.params.r0
-        t = np.asarray(t, dtype=float)
-        if order == 0:
-            return (r0 / 2.0) * np.sin(2.0 * t / r0)
-        if order == 1:
-            return np.cos(2.0 * t / r0)
-        return -(2.0 / r0) * np.sin(2.0 * t / r0)
+        w = 2.0 * np.asarray(t, dtype=float) / r0
+        s = np.sin(w)
+        return (r0 / 2.0) * s, np.cos(w), -(2.0 / r0) * s
 
-    def bridge_eval(self, t, order: int = 0):
-        base = self.inner_eval(t, order)
-        th = (self.bridge.value, self.bridge.d1, self.bridge.d2)[order]
-        return base + th(t)
+    def bridge_jet(self, t):
+        return tuple(base + th for base, th in
+                     zip(self.inner_jet(t), self.bridge.jet(t)))
 
-    def outer_eval(self, t, order: int = 0):
+    def outer_jet(self, t):
         p = self.params
-        bump = BumpFunction(p.Lambda)
         t = np.asarray(t, dtype=float)
-        x = t / p.r0 - 1.0
-        a = t + p.shift * bump.value(x)
-        if order == 0:
-            return p.R0 * np.sin(a)
-        a1 = 1.0 + (p.shift / p.r0) * bump.d1(x)
-        if order == 1:
-            return p.R0 * np.cos(a) * a1
-        a2 = (p.shift / p.r0**2) * bump.d2(x)
-        return -p.R0 * np.sin(a) * a1**2 + p.R0 * np.cos(a) * a2
+        g0, g1, g2 = BumpFunction(p.Lambda).jet(t / p.r0 - 1.0)
+        a = t + p.shift * g0
+        a1 = 1.0 + (p.shift / p.r0) * g1
+        a2 = (p.shift / p.r0**2) * g2
+        sin_a, cos_a = np.sin(a), np.cos(a)
+        return (p.R0 * sin_a, p.R0 * cos_a * a1,
+                -p.R0 * sin_a * a1**2 + p.R0 * cos_a * a2)
 
-    def _eval(self, t, order: int):
+    def jet(self, t):
+        """``(R, R', R'')`` at t, each point from the piece that owns it."""
         t, scalar = _as_array(t)
         _check_domain(t)
-        out = np.empty_like(t)
         psi, b = self.params.psi, self.params.t_cut
-        m_in = t <= psi
-        m_br = (t > psi) & (t < b)
-        m_out = t >= b
-        if np.any(m_in):
-            out[m_in] = self.inner_eval(t[m_in], order)
-        if np.any(m_br):
-            out[m_br] = self.bridge_eval(t[m_br], order)
-        if np.any(m_out):
-            out[m_out] = self.outer_eval(t[m_out], order)
-        return _wrap(out, scalar)
-
-    def value(self, t):
-        return self._eval(t, 0)
-
-    def d1(self, t):
-        return self._eval(t, 1)
-
-    def d2(self, t):
-        return self._eval(t, 2)
+        out = (np.empty_like(t), np.empty_like(t), np.empty_like(t))
+        for m, piece in ((t <= psi, self.inner_jet),
+                         ((t > psi) & (t < b), self.bridge_jet),
+                         (t >= b, self.outer_jet)):
+            if np.any(m):
+                for dst, src in zip(out, piece(t[m])):
+                    dst[m] = src
+        return tuple(_wrap(a, scalar) for a in out)
 
     @property
     def zero_limits(self):
@@ -170,13 +145,19 @@ class ProfileC1:
 
     def junction_gaps(self):
         """Value and slope mismatches of adjacent pieces at both junctions."""
-        psi, b = self.params.psi, self.params.t_cut
-        return {
-            ("psi", 0): abs(float(self.inner_eval(psi, 0) - self.bridge_eval(psi, 0))),
-            ("psi", 1): abs(float(self.inner_eval(psi, 1) - self.bridge_eval(psi, 1))),
-            ("cut", 0): abs(float(self.bridge_eval(b, 0) - self.outer_eval(b, 0))),
-            ("cut", 1): abs(float(self.bridge_eval(b, 1) - self.outer_eval(b, 1))),
-        }
+        gaps = {}
+        for name, t, left, right in (
+                ("psi", self.params.psi, self.inner_jet, self.bridge_jet),
+                ("cut", self.params.t_cut, self.bridge_jet, self.outer_jet)):
+            lj, rj = left(t), right(t)
+            for k in (0, 1):
+                gaps[(name, k)] = abs(float(lj[k] - rj[k]))
+        return gaps
+
+
+def _min_at(ts, vals):
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(ts[i])
 
 
 def validate_c1(profile: ProfileC1, points: int = 10_000) -> dict:
@@ -190,26 +171,17 @@ def validate_c1(profile: ProfileC1, points: int = 10_000) -> dict:
     }
 
     ts = open_grid(psi, b, points, open_lo=True, open_hi=True)
-    ratio = -profile.bridge_eval(ts, 2) / profile.bridge_eval(ts, 0)
-    vals = ratio - 4.0 / p.r0**2
-    i = int(np.argmin(vals))
-    margins["lemma_2_9_iii"] = (float(vals[i]), float(ts[i]))
+    R, _, R2 = profile.bridge_jet(ts)
+    margins["lemma_2_9_iii"] = _min_at(ts, -R2 / R - 4.0 / p.r0**2)
 
     ts = open_grid(b, T_MAX, points, open_lo=True)
-    vals = -profile.outer_eval(ts, 2)
-    i = int(np.argmin(vals))
-    margins["lemma_2_10"] = (float(vals[i]), float(ts[i]))
+    margins["lemma_2_10"] = _min_at(ts, -profile.outer_jet(ts)[2])
     return margins
 
 
 # ---------------------------------------------------------------------------
 # Smoothing clauses
 # ---------------------------------------------------------------------------
-
-def _min_at(ts, vals):
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(ts[i])
-
 
 def _min_over(fn, *grids):
     """Smallest (fn(t), t) over the grids; the earliest grid wins ties."""
@@ -255,7 +227,12 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
         return _mask_out(ts, spans)
 
     def ratio(ts):
-        return -profile.d2(ts) / profile.value(ts)
+        R, _, R2 = profile.jet(ts)
+        return -R2 / R
+
+    def slope_tan_gap(ts):
+        R, R1, _ = profile.jet(ts)
+        return (1.0 - (R1 / R) * np.tan(ts)) / ts**2
 
     # -R''/R > 1 - mu, written (-R''/R - 1) + mu: on the untapered outer
     # piece -R''/R is exactly 1, and 1 - mu would round mu away
@@ -276,7 +253,7 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
         # is zero and the whole budget mu remains
         "lemma_2_13_c": (mu, float(gA[0])),
         "corollary_2_14_concavity": _min_over(
-            lambda ts: -profile.d2(ts),
+            lambda ts: -profile.jet(ts)[2],
             outside(open_grid(0.0, T_MAX, points, open_lo=True)),
             np.concatenate([gA, gB])),
         "corollary_2_14_ratio": _min_over(
@@ -285,10 +262,10 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
         # windows its direct gap sits below double resolution, and the bound
         # follows from the drift clause, so windows are not sampled here.
         "lemma_2_15": _min_over(
-            lambda ts: (1.0 - (profile.d1(ts) / profile.value(ts)) * np.tan(ts)) / ts**2,
+            slope_tan_gap,
             outside(open_grid(0.0, r0, points, open_lo=True))),
         "profile_le_sin": _min_over(
-            lambda ts: np.sin(ts) - profile.value(ts),
+            lambda ts: np.sin(ts) - profile.jet(ts)[0],
             outside(np.linspace(0.0, r0, points))),
     }
     failed = [name for name, (m, _) in margins.items()

@@ -202,7 +202,7 @@ def gauss_crosscheck(profile, params: ParamSet) -> CheckResult:
     h = 1e-4 * math.sin(r0)
 
     def B(sv):
-        return profile.value(t_of_s(r0, sv))
+        return profile.jet(t_of_s(r0, sv))[0]
 
     b0 = B(s)
     bp = B(s + h)
@@ -358,7 +358,7 @@ def run_verification(n: int, p: int, overrides=None,
     results["omega_exceeds_tau_power"] = _result(
         "omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
     try:
-        lo, hi = rho_interval(bm, params.n)
+        lo, hi = rho_interval(bm)
         margin = min(hi - lo, 0.5 - lo)
         results["rho_interval_nonempty"] = _result("rho_interval_nonempty",
                                                    margin, None)

@@ -16,14 +16,11 @@ class RoundSphereProfile:
     """The unit round sphere profile sin(t): every curvature quantity has a
     known constant value, so it serves as an oracle for the evaluators."""
 
-    def value(self, t):
-        return np.sin(np.asarray(t, dtype=float)) if np.ndim(t) else math.sin(t)
-
-    def d1(self, t):
-        return np.cos(np.asarray(t, dtype=float)) if np.ndim(t) else math.cos(t)
-
-    def d2(self, t):
-        return -np.sin(np.asarray(t, dtype=float)) if np.ndim(t) else -math.sin(t)
+    def jet(self, t):
+        if np.ndim(t):
+            t = np.asarray(t, dtype=float)
+            return np.sin(t), np.cos(t), -np.sin(t)
+        return math.sin(t), math.cos(t), -math.sin(t)
 
     @property
     def zero_limits(self):

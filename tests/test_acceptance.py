@@ -182,10 +182,15 @@ def test_criterion_9_profile_regularity(sweep):
     rng = np.random.default_rng(2024)
     ts = rng.uniform(2e-3, math.pi / 2 - 2e-4, 1_000)
     h1, h2 = 1e-6, 1e-4
-    fd1 = (prof.value(ts + h1) - prof.value(ts - h1)) / (2 * h1)
-    rel1 = np.abs(fd1 - prof.d1(ts)) / np.maximum(np.abs(prof.d1(ts)), 1e-8)
-    fd2 = (prof.value(ts + h2) - 2 * prof.value(ts) + prof.value(ts - h2)) / h2**2
-    rel2 = np.abs(fd2 - prof.d2(ts)) / np.maximum(np.abs(prof.d2(ts)), 1e-8)
+    R, R1, R2 = prof.jet(ts)
+
+    def val(t):
+        return prof.jet(t)[0]
+
+    fd1 = (val(ts + h1) - val(ts - h1)) / (2 * h1)
+    rel1 = np.abs(fd1 - R1) / np.maximum(np.abs(R1), 1e-8)
+    fd2 = (val(ts + h2) - 2 * R + val(ts - h2)) / h2**2
+    rel2 = np.abs(fd2 - R2) / np.maximum(np.abs(R2), 1e-8)
     ok &= bool(np.max(rel1) < 1e-5 and np.max(rel2) < 1e-5)
     _emit(9, ok, f"- joins, smoothing clauses, concavity, and derivative "
                  f"consistency (fd rel {np.max(rel1):.2g}/{np.max(rel2):.2g})")

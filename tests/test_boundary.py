@@ -98,7 +98,7 @@ def test_rescaled_boundary_sectional_above_one(bm33):
 
 
 def test_rho_interval_values(params33, bm33):
-    lo, hi = rho_interval(bm33, 3)
+    lo, hi = rho_interval(bm33)
     assert lo == math.sqrt(bm33.tau)  # exponent 1/2 at n = 3
     assert hi == 0.5  # omega = cos(r0) > 1/2 for this radius
     assert lo < hi
@@ -118,7 +118,7 @@ def test_rho_interval_empty_raises():
     fake = BoundaryMetric(r0=0.06, n=3, omega=0.5, tau=0.9,
                           samples=np.zeros((4, 4)), rho_lo=0.9486)
     with pytest.raises(CertificationError):
-        rho_interval(fake, 3)
+        rho_interval(fake)
 
 
 def test_boundary_metric_rho_fields(params33, bm33):

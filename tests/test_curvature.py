@@ -139,6 +139,39 @@ def test_curvature_grid_minima_and_samples(profile33, params33):
     assert res.t[0] == pytest.approx(1e-6)
 
 
+class _JetCounter:
+    """A profile that counts the jets read through it."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.calls = 0
+
+    @property
+    def zero_limits(self):
+        return self.profile.zero_limits
+
+    def jet(self, t):
+        self.calls += 1
+        return self.profile.jet(t)
+
+
+def test_curvature_grid_reads_two_jets(profile33, params33):
+    # one jet for the Ricci columns and one for the four boundary columns,
+    # which equal the public evaluators' values
+    r0 = params33.r0
+    ts = np.concatenate([[0.0], np.linspace(1e-6, math.pi / 2, 500)])
+    counter = _JetCounter(profile33)
+    res = curvature_grid(counter, 3, r0, ts)
+    assert counter.calls == 2
+    tb = ts[ts <= r0]
+    pc_c, pc_s = principal_curvatures(profile33, r0, tb)
+    ki_ys, ki_ss = intrinsic_sectional(profile33, r0, tb)
+    for got, want in ((res.pc_circle, pc_c), (res.pc_sphere, pc_s),
+                      (res.ki_ys, ki_ys), (res.ki_ss, ki_ss)):
+        assert np.array_equal(got[:tb.size], want)
+        assert np.all(np.isnan(got[tb.size:]))
+
+
 def test_curvature_domain_errors(profile33, params33):
     with pytest.raises(DomainError):
         ricci_components(profile33, 3, 2.0)

@@ -10,7 +10,7 @@ from ricci_forge import (
     DomainError,
     build_gamma,
 )
-from ricci_forge.bumps import step_derivative_sups
+from ricci_forge.bumps import step_derivative_sups, step_jet
 from ricci_forge.profile import BridgeTheta, ProfileC1, validate_c1, validate_smooth
 
 mpmath.mp.dps = 40
@@ -24,11 +24,11 @@ T_MAX = math.pi / 2
 
 def test_gamma_plateau_values(gamma33):
     g = gamma33
-    assert g.value(-5.0) == 1.0
-    assert g.value(0.0) == 1.0
-    assert g.value(g.Lambda) == 0.0
-    assert g.value(g.Lambda + 1.0) == 0.0
-    assert g.d1(-2.0) == 0.0 and g.d2(g.Lambda + 0.5) == 0.0
+    assert g.jet(-5.0)[0] == 1.0
+    assert g.jet(0.0)[0] == 1.0
+    assert g.jet(g.Lambda)[0] == 0.0
+    assert g.jet(g.Lambda + 1.0)[0] == 0.0
+    assert g.jet(-2.0)[1] == 0.0 and g.jet(g.Lambda + 0.5)[2] == 0.0
 
 
 def test_gamma_support_length_exceeds_inverse_squash(params33, gamma33):
@@ -37,10 +37,11 @@ def test_gamma_support_length_exceeds_inverse_squash(params33, gamma33):
 
 def test_gamma_derivative_bounds_on_grid(params33, gamma33):
     xs = np.linspace(-1.0, gamma33.Lambda + 1.0, 100_001)
-    assert np.max(np.abs(gamma33.d1(xs))) < params33.R0
-    assert np.max(np.abs(gamma33.d2(xs))) < params33.R0
+    _, d1, d2 = gamma33.jet(xs)
+    assert np.max(np.abs(d1)) < params33.R0
+    assert np.max(np.abs(d2)) < params33.R0
     # monotone non-increasing
-    assert np.all(gamma33.d1(xs) <= 0.0)
+    assert np.all(d1 <= 0.0)
 
 
 def test_gamma_derivatives_match_finite_differences(gamma33):
@@ -49,12 +50,17 @@ def test_gamma_derivatives_match_finite_differences(gamma33):
     rng = np.random.default_rng(7)
     xs = rng.uniform(0.05, gamma33.Lambda - 0.05, 400)
     (s1, _), (s2, _) = gamma33.derivative_sups()
+    g0, g1, g2 = gamma33.jet(xs)
+
+    def g(x):
+        return gamma33.jet(x)[0]
+
     h = 1e-6
-    fd1 = (gamma33.value(xs + h) - gamma33.value(xs - h)) / (2 * h)
-    assert np.max(np.abs(fd1 - gamma33.d1(xs))) < 1e-5 * s1
+    fd1 = (g(xs + h) - g(xs - h)) / (2 * h)
+    assert np.max(np.abs(fd1 - g1)) < 1e-5 * s1
     h = 1e-3
-    fd2 = (gamma33.value(xs + h) - 2 * gamma33.value(xs) + gamma33.value(xs - h)) / h**2
-    assert np.max(np.abs(fd2 - gamma33.d2(xs))) < 1e-5 * s2
+    fd2 = (g(xs + h) - 2 * g0 + g(xs - h)) / h**2
+    assert np.max(np.abs(fd2 - g2)) < 1e-5 * s2
 
 
 def test_build_gamma_rejects_small_support():
@@ -86,6 +92,14 @@ def _mp_sup_abs_derivative(order):
     return abs(mpmath.diff(_unit_step_mp, u, order))
 
 
+@pytest.mark.parametrize("u", [0.05, 0.2, 0.37, 0.61, 0.85])
+def test_step_jet_matches_extended_precision(u):
+    for got, k in zip(step_jet(u), range(3)):
+        assert type(got) is float
+        assert got == pytest.approx(float(mpmath.diff(_unit_step_mp, mpmath.mpf(u), k)),
+                                    rel=1e-12)
+
+
 def test_step_derivative_sups_match_extended_precision():
     (s1, _), (s2, _) = step_derivative_sups()
     assert s1 == pytest.approx(float(_mp_sup_abs_derivative(1)), rel=1e-9)
@@ -97,7 +111,7 @@ def test_taper_derivative_sups_match_dense_scan(Lambda):
     gamma = build_gamma(0.1, Lambda)
     xs = np.linspace(0.0, gamma.Lambda, 200_001)
     step = gamma.Lambda * 1e-5  # the unit-step grid spacing, in x
-    for (sup, at), d in zip(gamma.derivative_sups(), (gamma.d1(xs), gamma.d2(xs))):
+    for (sup, at), d in zip(gamma.derivative_sups(), gamma.jet(xs)[1:]):
         d = np.abs(d)
         i = int(np.argmax(d))
         assert sup == pytest.approx(d[i], rel=1e-9)
@@ -115,16 +129,18 @@ def test_build_gamma_rejects_bad_squash():
 # ---------------------------------------------------------------------------
 
 def test_bridge_left_boundary_exact(bridge33):
-    assert bridge33.value(bridge33.psi) == 0.0
-    assert bridge33.d1(bridge33.psi) == 0.0
+    th0, th1, _ = bridge33.jet(bridge33.psi)
+    assert th0 == 0.0
+    assert th1 == 0.0
 
 
 def test_bridge_right_boundary_values(bridge33):
     br = bridge33
     assert br.theta_b < 0.0 and br.dtheta_b < 0.0
     assert br.q > 0.0
-    assert abs(br.value(br.b) - br.theta_b) < 1e-10
-    assert abs(br.d1(br.b) - br.dtheta_b) < 1e-14
+    th0, th1, _ = br.jet(br.b)
+    assert abs(th0 - br.theta_b) < 1e-10
+    assert abs(th1 - br.dtheta_b) < 1e-14
 
 
 def test_bridge_value_matches_independent_quadrature(bridge33):
@@ -139,9 +155,10 @@ def test_bridge_value_matches_independent_quadrature(bridge33):
 def test_bridge_concave_and_nonpositive(bridge33):
     br = bridge33
     ts = np.linspace(br.psi, br.b, 10_001)[1:-1]
-    assert np.all(br.value(ts) <= 0.0)
-    assert np.all(br.d1(ts) <= 0.0)
-    assert np.all(br.d2(ts) <= 0.0)
+    th0, th1, th2 = br.jet(ts)
+    assert np.all(th0 <= 0.0)
+    assert np.all(th1 <= 0.0)
+    assert np.all(th2 <= 0.0)
 
 
 def test_bridge_requires_chord_slope_inequality(params33):
@@ -160,24 +177,41 @@ def test_bridge_requires_chord_slope_inequality(params33):
 # ---------------------------------------------------------------------------
 
 def test_profile_pole_values(profile33):
-    assert profile33.value(0.0) == 0.0
-    assert profile33.d1(0.0) == 1.0
-    assert profile33.d2(0.0) == 0.0
+    assert profile33.jet(0.0) == (0.0, 1.0, 0.0)
 
 
 def test_profile_outer_end_equals_squash(params33, profile33):
     # the taper is exhausted before pi/2, so the value there is exactly R0
-    assert profile33.value(T_MAX) == params33.R0
+    assert profile33.jet(T_MAX)[0] == params33.R0
 
 
 def test_profile_piece_formulas(params33, gamma33, profile33):
     p = params33
     ts = np.linspace(0.0, p.psi, 50)
-    assert np.array_equal(profile33.value(ts), (p.r0 / 2) * np.sin(2 * ts / p.r0))
+    assert np.array_equal(profile33.jet(ts)[0], (p.r0 / 2) * np.sin(2 * ts / p.r0))
     ts = np.linspace(p.t_cut, T_MAX, 50)
     x = ts / p.r0 - 1.0
-    expected = p.R0 * np.sin(ts + p.shift * gamma33.value(x))
-    assert np.array_equal(profile33.value(ts), expected)
+    expected = p.R0 * np.sin(ts + p.shift * gamma33.jet(x)[0])
+    assert np.array_equal(profile33.jet(ts)[0], expected)
+
+
+def test_profile_jet_is_the_owning_piece_jet(params33, profile33):
+    # psi belongs to the inner piece and b to the outer one; one ulp past
+    # either junction belongs to the bridge on the inside
+    psi, b = params33.psi, params33.t_cut
+    down, up = np.nextafter([psi, b], 0.0), np.nextafter([psi, b], T_MAX)
+    owned = ((profile33.inner_jet, [down[0], psi]),
+             (profile33.bridge_jet, [up[0], down[1]]),
+             (profile33.outer_jet, [b, up[1]]))
+    for piece, ts in owned:
+        ts = np.array(ts)
+        expected = piece(ts)
+        for k, got in enumerate(profile33.jet(ts)):
+            assert got.tobytes() == expected[k].tobytes()
+        for i, t in enumerate(ts):
+            scalar = profile33.jet(float(t))
+            assert all(type(v) is float for v in scalar)
+            assert scalar == tuple(float(piece(ts[i:i + 1])[k][0]) for k in range(3))
 
 
 def test_profile_c1_joins(profile33):
@@ -188,20 +222,20 @@ def test_profile_c1_joins(profile33):
 def test_profile_bridge_concavity_ratio(params33, profile33):
     p = params33
     ts = np.linspace(p.psi, p.t_cut, 10_001)[1:-1]
-    ratio = -profile33.bridge_eval(ts, 2) / profile33.bridge_eval(ts, 0)
-    assert np.min(ratio) >= 4.0 / p.r0**2
-    mid = 0.5 * (p.psi + p.t_cut)
-    assert -profile33.bridge_eval(mid, 2) / profile33.bridge_eval(mid, 0) >= 4.0 / p.r0**2
+    R, _, R2 = profile33.bridge_jet(ts)
+    assert np.min(-R2 / R) >= 4.0 / p.r0**2
+    R, _, R2 = profile33.bridge_jet(0.5 * (p.psi + p.t_cut))
+    assert -R2 / R >= 4.0 / p.r0**2
 
 
 def test_profile_outer_concave(params33, profile33):
     ts = np.linspace(params33.t_cut, T_MAX, 10_001)[1:]
-    assert np.max(profile33.outer_eval(ts, 2)) < 0.0
+    assert np.max(profile33.outer_jet(ts)[2]) < 0.0
 
 
 def test_profile_positive(profile33):
     ts = np.linspace(0.0, T_MAX, 10_001)[1:]
-    assert np.min(profile33.value(ts)) > 0.0
+    assert np.min(profile33.jet(ts)[0]) > 0.0
 
 
 def test_validate_c1_margins_positive(profile33):
@@ -211,19 +245,24 @@ def test_validate_c1_margins_positive(profile33):
 
 def test_profile_domain_error(profile33):
     with pytest.raises(DomainError):
-        profile33.value(2.0)
+        profile33.jet(2.0)
     with pytest.raises(DomainError):
-        profile33.value(-0.5)
+        profile33.jet(-0.5)
 
 
 def _fd_consistency(profile, lo, hi, seed):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(lo, hi, 1_000)
     h1, h2 = 1e-6, 1e-4
-    fd1 = (profile.value(ts + h1) - profile.value(ts - h1)) / (2 * h1)
-    rel1 = np.abs(fd1 - profile.d1(ts)) / np.maximum(np.abs(profile.d1(ts)), 1e-8)
-    fd2 = (profile.value(ts + h2) - 2 * profile.value(ts) + profile.value(ts - h2)) / h2**2
-    rel2 = np.abs(fd2 - profile.d2(ts)) / np.maximum(np.abs(profile.d2(ts)), 1e-8)
+    R, R1, R2 = profile.jet(ts)
+
+    def val(t):
+        return profile.jet(t)[0]
+
+    fd1 = (val(ts + h1) - val(ts - h1)) / (2 * h1)
+    rel1 = np.abs(fd1 - R1) / np.maximum(np.abs(R1), 1e-8)
+    fd2 = (val(ts + h2) - 2 * R + val(ts - h2)) / h2**2
+    rel2 = np.abs(fd2 - R2) / np.maximum(np.abs(R2), 1e-8)
     return float(np.max(rel1)), float(np.max(rel2))
 
 
@@ -239,14 +278,16 @@ def test_profile_c1_derivative_consistency(profile33):
 
 def test_smooth_slope_ratio_limit_at_pole(profile33):
     t = 1e-8
-    assert abs((profile33.d1(t) / profile33.value(t)) * math.tan(t) - 1.0) < 1e-10
+    R, R1, _ = profile33.jet(t)
+    assert abs((R1 / R) * math.tan(t) - 1.0) < 1e-10
 
 
 def test_smooth_ratio_band_on_outer_run(params33, profile33):
     # max of (R''/R + 1) over the outer run stays below mu
     p = params33
     ts = np.linspace(p.t_cut, p.r0, 20_001)
-    worst = np.max(profile33.d2(ts) / profile33.value(ts) + 1.0)
+    R, _, R2 = profile33.jet(ts)
+    worst = np.max(R2 / R + 1.0)
     assert worst < p.mu
 
 
@@ -277,8 +318,9 @@ class _QuarterCurvature(ProfileC1):
     """The default profile with R'' scaled by 1/4: -R''/R = 1/r0^2 on the
     inner piece, below the 2/r0^2 that Lemma 2.13(a) asks for."""
 
-    def d2(self, t):
-        return 0.25 * super().d2(t)
+    def jet(self, t):
+        R, R1, R2 = super().jet(t)
+        return R, R1, 0.25 * R2
 
 
 def test_smooth_clause_failure_names_worst_clause(params33, bridge33):
@@ -301,35 +343,36 @@ def test_lemma_2_15_margin_per_unit_t2_on_both_paths(params33, bridge33, profile
     with pytest.raises(CertificationError) as err:
         validate_smooth(profile, params33.mu)
     margin, t = err.value.margins["lemma_2_15"]
-    raw = 1.0 - (profile.d1(t) / profile.value(t)) * math.tan(t)
+    R, R1, _ = profile.jet(t)
+    raw = 1.0 - (R1 / R) * math.tan(t)
     assert margin == pytest.approx(raw / t**2, rel=1e-12)
     assert margin == pytest.approx(reported, rel=1e-12)
 
 
 def test_smooth_concave_everywhere(profile33):
     ts = np.linspace(0.0, T_MAX, 10_001)[1:]
-    assert np.max(profile33.d2(ts)) < 0.0
+    assert np.max(profile33.jet(ts)[2]) < 0.0
 
 
 def test_smooth_small_and_monotone_bounds(params33, profile33):
     p = params33
     ts = np.linspace(0.0, p.r0, 10_001)
-    vals = profile33.value(ts)
-    d1 = profile33.d1(ts)
+    vals, d1, _ = profile33.jet(ts)
     assert np.all(np.sin(ts) - vals >= 0.0)
     assert np.all(d1 >= 0.0) and np.all(d1 <= 1.0)
     # squashed bound on the outer region, away from the very top where the
     # shifted sine already passed its maximum
     ts = np.linspace(p.t_cut, T_MAX - p.shift, 10_001)
-    assert np.all(p.R0 * np.sin(ts + p.shift) - profile33.value(ts) >= 0.0)
+    assert np.all(p.R0 * np.sin(ts + p.shift) - profile33.jet(ts)[0] >= 0.0)
     ts = np.linspace(p.t_cut, T_MAX, 10_001)
-    assert np.all(profile33.value(ts) <= p.R0)
+    assert np.all(profile33.jet(ts)[0] <= p.R0)
 
 
 def test_smooth_strict_slope_bound_outer_half(params33, profile33):
     p = params33
     ts = np.linspace(p.r0 / 2, p.r0, 5_001)
-    margin = 1.0 - (profile33.d1(ts) / profile33.value(ts)) * np.tan(ts)
+    R, R1, _ = profile33.jet(ts)
+    margin = 1.0 - (R1 / R) * np.tan(ts)
     assert np.min(margin) > 0.0
 
 
@@ -349,5 +392,5 @@ def test_bridge_theta_closed_form_consistency():
     br = BridgeTheta(psi=0.1, b=0.3, theta_b=-0.05, dtheta_b=-0.5, q=1.0)
     # with q = 1 the slope is linear and the value is a parabola
     ts = np.linspace(0.1, 0.3, 101)
-    assert np.allclose(br.d1(ts), -0.5 * (ts - 0.1) / 0.2)
-    assert br.value(0.3) == pytest.approx(-0.5 * 0.2 / 2.0)
+    assert np.allclose(br.jet(ts)[1], -0.5 * (ts - 0.1) / 0.2)
+    assert br.jet(0.3)[0] == pytest.approx(-0.5 * 0.2 / 2.0)
