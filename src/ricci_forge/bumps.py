@@ -41,7 +41,11 @@ def step_jet(u):
     s2 = np.zeros_like(u)
     m = (u > 0.0) & (u < 1.0)
     if np.any(m):
-        uu = u[m]
+        # below u = 1e-3 exp(-1/u) underflows to 0 and the jet is its limit
+        # from the right, (1, -0, -0), which the quotients below also give at
+        # 1e-3; unclamped, they divide by powers of u that underflow or
+        # overflow below u of about 1e-77
+        uu = np.maximum(u[m], 1e-3)
         e1, e2 = _exp_pair(uu)
         p = e1 / uu**2
         q = -e2 / (1.0 - uu) ** 2

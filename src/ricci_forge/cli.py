@@ -15,13 +15,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import RicciForgeError
+from .fmt17 import render_block
 from .grids import GridSpec
 from .paramgen import OVERRIDE_NAMES
 from .verify import report_to_json, run_verification
 
 MIN_GRID = 100
-# rows rendered per step of a CSV dump: bounds the Python floats held at once
-CSV_BLOCK_ROWS = 4_096
+# rows rendered and written per step of a CSV dump: bounds the renderer's
+# temporaries and the text held at once
+CSV_BLOCK_ROWS = 1_024
 
 
 @dataclass
@@ -165,12 +167,14 @@ def _check_writable(path: str):
         raise UsageError(f"output path not writable: {path!r}")
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the str pieces of ``chunks`` to ``path`` through a temporary
+    file in the same directory, so the path holds all of it or none."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -178,42 +182,31 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _csv(header: str, cols) -> str:
-    """CSV text of equal-length float columns under ``header``: every cell
-    is ``%.17g`` and a non-finite value is an empty cell.
-
-    Rows are rendered a block at a time, one ``%`` format per row. A finite
-    ``%.17g`` holds only digits, '-', '.', 'e' and '+', so in a block that
-    holds a non-finite value the 'nan', 'inf' and '-inf' tokens are deleted
-    from its text.
-    """
+def _csv(header: str, cols):
+    """CSV text of equal-length float columns under ``header``, as pieces
+    of one block of rows each: every cell is ``%.17g`` and a non-finite
+    value is an empty cell."""
     table = np.column_stack(cols)
-    row_fmt = ",".join(["%.17g"] * table.shape[1])
-    parts = [header]
+    yield header + "\n"
     for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-        block = table[start:start + CSV_BLOCK_ROWS]
-        text = "\n".join([row_fmt % tuple(row) for row in block.tolist()])
-        if not np.isfinite(block).all():
-            text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
-        parts.append(text)
-    return "\n".join(parts) + "\n"
+        yield render_block(table[start:start + CSV_BLOCK_ROWS])
 
 
-def _profile_csv(report) -> str:
+def _profile_csv(report):
     profile = report.artifacts["profile"]
     ts = report.artifacts["t_grid"]
     return _csv("t,R,R1,R2",
                 (ts, *profile.jet(ts)))
 
 
-def _curvature_csv(report) -> str:
+def _curvature_csv(report):
     curv = report.artifacts["curvature"]
     return _csv("t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
                 (curv.t, curv.ric_tt, curv.ric_xx, curv.ric_ss,
                  curv.pc_circle, curv.pc_sphere, curv.ki_ys, curv.ki_ss))
 
 
-def _boundary_csv(report) -> str:
+def _boundary_csv(report):
     bm = report.artifacts["boundary"]
     s, b, b1, b2 = bm.samples.T
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -279,7 +272,7 @@ def run(argv) -> int:
               "CSV dumps skipped", file=sys.stderr)
     try:
         if cfg.out_report:
-            _atomic_write(cfg.out_report, report_to_json(report))
+            _atomic_write(cfg.out_report, [report_to_json(report)])
         if "profile" in report.artifacts:
             if cfg.out_profile_csv:
                 _atomic_write(cfg.out_profile_csv, _profile_csv(report))

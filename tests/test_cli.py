@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ricci_forge.cli import CSV_BLOCK_ROWS, MIN_GRID, _csv, run
+from ricci_forge.cli import CSV_BLOCK_ROWS, MIN_GRID, _atomic_write, _csv, run
 from ricci_forge.grids import GridSpec
 from ricci_forge.verify import report_to_json, run_verification
 
@@ -196,18 +196,110 @@ def _reference_csv(header, cols):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS,
-                                  2 * CSV_BLOCK_ROWS + 1])
+def _assert_same_cells(got, want):
+    """Equal CSV texts, or a failure naming the first cell that differs
+    (a plain ``==`` on megabytes of text makes a slow diff)."""
+    if got != want:
+        cells = zip(got.replace("\n", ",").split(","),
+                    want.replace("\n", ",").split(","))
+        bad = next(((g, w) for g, w in cells if g != w), (got[-80:], want[-80:]))
+        pytest.fail(f"cell reads {bad[0]!r}, the cell rule gives {bad[1]!r}")
+
+
+# one row, whole blocks, and whole blocks plus a partial one
+@pytest.mark.parametrize("rows", [1, 4 * CSV_BLOCK_ROWS, 8 * CSV_BLOCK_ROWS,
+                                  8 * CSV_BLOCK_ROWS + 1])
 def test_csv_renderer_matches_cell_rule(rows):
     finite = [-0.0, 5e-324, 1e-300, 0.1, 1 / 3, -2.5e17, 1e16]
     cols = [np.resize(np.roll(finite, k), rows) for k in range(4)]
-    # non-finite values only in the last block, which is partial for 1 and
-    # 2 * CSV_BLOCK_ROWS + 1 rows
+    # non-finite values only in the last block
     cols[0][-1], cols[1][-1], cols[2][-1] = math.nan, math.inf, -math.inf
-    text = _csv("a,b,c,d", cols)
-    assert text == _reference_csv("a,b,c,d", cols)
+    text = "".join(_csv("a,b,c,d", cols))
+    _assert_same_cells(text, _reference_csv("a,b,c,d", cols))
     assert text.count("\n") == rows + 1
     assert text.endswith("\n,,," + "{:.17g}".format(cols[3][-1]) + "\n")
+
+
+def _assert_cells_match(values, width):
+    """``_csv`` of ``values`` laid out in ``width`` columns against the
+    per-cell rule."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, np.ones(-values.size % width)])
+    cols = list(values.reshape(-1, width).T)
+    header = ",".join("c%d" % i for i in range(width))
+    _assert_same_cells("".join(_csv(header, cols)), _reference_csv(header, cols))
+
+
+# exact ties at the 18th digit: 17 digits plus ...5, rounded half to even
+TIES = [1234567890123456.75, 1234567890123456.25, 1000000000000000.25,
+        123456789012345.375, 123456789012345.875, 123456789012345.125]
+ADVERSARIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+    1e-250, 1e250, -1e250, 1e-5, 1e-4, 9.9999999999999995e-05, 1e16, 1e17,
+    -1e16, 9.9999999999999999e16, 2.0**53 - 2, 2.0**53 + 2, 2.0**53,
+    np.nextafter(1e23, 0.0), 1e23, 0.1, 1 / 3, -2.5e17, 1.7976931348623157e308,
+    1.0, 10.0, 123.0, 1e15, 1e-7, math.pi, -math.e, 5e-5, 0.0001234,
+    12345678901234567.0, 99999999999999999.0, math.nan, math.inf, -math.inf,
+] + [np.nextafter(v, d) for v in (1e-250, 1e250, 1e-5, 1e-4, 1e16, 1e17, 1e-300)
+     for d in (0.0, math.inf)] + TIES + [-t for t in TIES]
+
+
+def test_csv_renderer_adversarial_cells():
+    for width in (1, 3, 7):
+        _assert_cells_match(ADVERSARIAL, width)
+
+
+def test_csv_renderer_powers_of_ten():
+    values = []
+    for k in range(-323, 309):
+        v = float("1e%d" % k)
+        values += [np.nextafter(v, 0.0), v, np.nextafter(v, math.inf), -v]
+    _assert_cells_match(values, 8)
+
+
+def test_csv_renderer_random_bit_patterns():
+    rng = np.random.default_rng(20_000)
+    bits = rng.integers(0, 2**64, size=220_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:200_000]
+    assert values.size == 200_000
+    _assert_cells_match(values, 5)
+
+
+def test_cli_dumps_match_cell_rule(tmp_path):
+    grid = 2_000
+    code, _, prof, curv, bdry = _run_full(tmp_path, grid=grid)
+    assert code == 0
+    report = run_verification(
+        3, 3, grid=GridSpec(points=grid, lo=0.0, hi=math.pi / 2))
+    ts = report.artifacts["t_grid"]
+    c = report.artifacts["curvature"]
+    s, b, b1, b2 = report.artifacts["boundary"].samples.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_rad, k_tan = -b2 / b, (1.0 - b1**2) / b**2
+    expected = {
+        prof: ("t,R,R1,R2", (ts, *report.artifacts["profile"].jet(ts))),
+        curv: ("t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
+               (c.t, c.ric_tt, c.ric_xx, c.ric_ss, c.pc_circle, c.pc_sphere,
+                c.ki_ys, c.ki_ss)),
+        bdry: ("s,B,B1,B2,K_rad,K_tan", (s, b, b1, b2, k_rad, k_tan)),
+    }
+    for path, (header, cols) in expected.items():
+        _assert_same_cells(path.read_text(), _reference_csv(header, cols))
+
+
+def test_atomic_write_keeps_old_file_when_rendering_fails(tmp_path):
+    # the CSV blocks are rendered while the file is written
+    def chunks():
+        yield "t,R\n"
+        raise ValueError("render failed")
+
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(ValueError):
+        _atomic_write(str(path), chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_minimum_grid_dumps_every_row(tmp_path):

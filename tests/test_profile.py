@@ -100,6 +100,22 @@ def test_step_jet_matches_extended_precision(u):
                                     rel=1e-12)
 
 
+def test_step_jet_limits_at_tiny_u():
+    """Down to the smallest subnormal the jet stays finite, and where
+    exp(-1/u) underflows it is the limit (1, -0, -0); the suite's
+    RuntimeWarning filter turns any 0/0 or overflow into a failure."""
+    us = np.array([10.0 ** -k for k in range(1, 324)] + [5e-324])
+    s0, s1, s2 = step_jet(us)
+    assert np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))
+    assert np.all((s0 > 0.5) & (s0 <= 1.0) & (s1 <= 0.0))
+    flat = us <= 1e-3  # exp(-1/u) underflows below about 1/745
+    assert np.all(s0[flat] == 1.0)
+    assert np.all((s1[flat] == 0.0) & np.signbit(s1[flat]))
+    assert np.all((s2[flat] == 0.0) & np.signbit(s2[flat]))
+    for u, a, b, c in zip(us, s0, s1, s2):
+        assert step_jet(float(u)) == (a, b, c)
+
+
 def test_step_derivative_sups_match_extended_precision():
     (s1, _), (s2, _) = step_derivative_sups()
     assert s1 == pytest.approx(float(_mp_sup_abs_derivative(1)), rel=1e-9)

@@ -181,7 +181,8 @@ def _clear_caches():
 
 
 def _csv_texts(report):
-    return tuple(dump(report) for dump in (_profile_csv, _curvature_csv, _boundary_csv))
+    return tuple("".join(dump(report))
+                 for dump in (_profile_csv, _curvature_csv, _boundary_csv))
 
 
 @pytest.fixture
