@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -21,8 +22,8 @@ from .paramgen import OVERRIDE_NAMES
 from .verify import report_to_json, run_verification
 
 MIN_GRID = 100
-# rows rendered and written per step of a CSV dump: bounds the renderer's
-# temporaries and the text held at once
+# rows stacked, rendered and written per step of a CSV dump: bounds the
+# table, the renderer's temporaries and the text held at once
 CSV_BLOCK_ROWS = 1_024
 
 
@@ -186,10 +187,10 @@ def _csv(header: str, cols):
     """CSV text of equal-length float columns under ``header``, as pieces
     of one block of rows each: every cell is ``%.17g`` and a non-finite
     value is an empty cell."""
-    table = np.column_stack(cols)
     yield header + "\n"
-    for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
-        yield render_block(table[start:start + CSV_BLOCK_ROWS])
+    for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+        yield render_block(np.column_stack(
+            [col[start:start + CSV_BLOCK_ROWS] for col in cols]))
 
 
 def _profile_csv(report):
@@ -213,6 +214,64 @@ def _boundary_csv(report):
         k_rad = -b2 / b
         k_tan = (1.0 - b1**2) / b**2
     return _csv("s,B,B1,B2,K_rad,K_tan", (s, b, b1, b2, k_rad, k_tan))
+
+
+def _report_json(report):
+    return [report_to_json(report)]
+
+
+def _csv_dumps(cfg: RunConfig, report):
+    """``(path, dump)`` of each requested CSV dump, ordered by cells (rows
+    x columns, known before anything is rendered), the largest last."""
+    rows = report.artifacts["t_grid"].size
+    b_rows = report.artifacts["boundary"].samples.shape[0]
+    dumps = [(cfg.out_profile_csv, _profile_csv, 4 * rows),
+             (cfg.out_curvature_csv, _curvature_csv, 8 * rows),
+             (cfg.out_boundary_csv, _boundary_csv, 6 * b_rows)]
+    dumps.sort(key=lambda d: d[2])
+    return [(path, dump) for path, dump, _ in dumps if path]
+
+
+def _write_outputs(report, outputs) -> bool:
+    """Write each ``(path, dump)`` of ``outputs``; False, with the error on
+    stderr, when one cannot be written."""
+    try:
+        for path, dump in outputs:
+            _atomic_write(path, dump(report))
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return False
+    return True
+
+
+def _fork_writer(report, outputs):
+    """Fork a child that writes ``outputs`` and exits 0, or 2 after putting
+    its error on stderr; the child's pid, or None where this platform or
+    this moment cannot fork. The child reads the report through
+    copy-on-write memory, and it ends in ``os._exit``: returning or raising
+    would run the caller's teardown and flush inherited stdio buffers a
+    second time."""
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    # what the child prints must not carry text this process has buffered
+    sys.stderr.flush()
+    try:
+        pid = fork()
+    except OSError:
+        return None
+    if pid:
+        return pid
+    code = 2
+    try:
+        try:
+            if _write_outputs(report, outputs):
+                code = 0
+        except BaseException:
+            traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def _print_summary(report, cfg: RunConfig):
@@ -247,10 +306,18 @@ def run(argv) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
+        seen = {}
         for field_name in _OUTPUT_FIELDS:
             path = getattr(cfg, field_name)
             if path:
                 _check_writable(path)
+                # two outputs on one file: one would silently overwrite the
+                # other, in an order decided by which process ends last
+                real = os.path.realpath(path)
+                if real in seen:
+                    raise UsageError(f"output paths {seen[real]!r} and {path!r} "
+                                     "name the same file")
+                seen[real] = path
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -270,18 +337,22 @@ def run(argv) -> int:
     if wants_csv and "profile" not in report.artifacts:
         print("warning: pipeline failed before the profile was built; "
               "CSV dumps skipped", file=sys.stderr)
+    dumps = _csv_dumps(cfg, report) if "profile" in report.artifacts else []
+    # a forked child writes the largest dump while this process writes the
+    # report and the others; without a fork, this process writes them all
+    pid = _fork_writer(report, dumps[-1:]) if len(dumps) >= 2 else None
+    if pid is not None:
+        dumps = dumps[:-1]
+    if cfg.out_report:
+        dumps.insert(0, (cfg.out_report, _report_json))
+    ok = False
     try:
-        if cfg.out_report:
-            _atomic_write(cfg.out_report, [report_to_json(report)])
-        if "profile" in report.artifacts:
-            if cfg.out_profile_csv:
-                _atomic_write(cfg.out_profile_csv, _profile_csv(report))
-            if cfg.out_curvature_csv:
-                _atomic_write(cfg.out_curvature_csv, _curvature_csv(report))
-            if cfg.out_boundary_csv:
-                _atomic_write(cfg.out_boundary_csv, _boundary_csv(report))
-    except OSError as e:
-        print(f"error: cannot write output: {e}", file=sys.stderr)
+        ok = _write_outputs(report, dumps)
+    finally:
+        if pid is not None:
+            # the child has already put its own error on stderr
+            ok = os.waitpid(pid, 0)[1] == 0 and ok
+    if not ok:
         return 2
 
     _print_summary(report, cfg)

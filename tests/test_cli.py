@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from ricci_forge import cli
 from ricci_forge.cli import CSV_BLOCK_ROWS, MIN_GRID, _atomic_write, _csv, run
 from ricci_forge.grids import GridSpec
 from ricci_forge.verify import report_to_json, run_verification
@@ -96,6 +98,26 @@ def test_small_grid_is_usage_error():
 def test_unwritable_output_is_usage_error():
     assert run(["--dim", "3", "--punctures", "1",
                 "--out", "/nonexistent-dir/x.json"]) == 2
+
+
+# two flags on one path, and a flag and a config key on one file through a
+# symlinked directory
+@pytest.mark.parametrize("via_config", [False, True])
+def test_duplicate_output_paths_is_usage_error(tmp_path, capsys, via_config):
+    argv = ["--dim", "3", "--punctures", "1", "--out", str(tmp_path / "r.json")]
+    if via_config:
+        (tmp_path / "link").symlink_to(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"out_boundary_csv": str(tmp_path / "link" / "r.json")}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--profile-csv", str(tmp_path / "x.csv"),
+                 "--curvature-csv", str(tmp_path / "x.csv")]
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_missing_required_flags_is_usage_error():
@@ -300,6 +322,94 @@ def test_atomic_write_keeps_old_file_when_rendering_fails(tmp_path):
         _atomic_write(str(path), chunks())
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def _refusing_fork(monkeypatch):
+    """Make ``os.fork`` raise OSError; the list records each call."""
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def test_forked_dumps_equal_serial_dumps(tmp_path, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    (tmp_path / "forked").mkdir()
+    code, *forked = _run_full(tmp_path / "forked")
+    assert code == 0 and forks == [1]
+    monkeypatch.delattr(os, "fork")
+    (tmp_path / "serial").mkdir()
+    code, *serial = _run_full(tmp_path / "serial")
+    assert code == 0 and forks == [1]
+    for a, b in zip(forked, serial):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+# a failure in the child (curvature, the largest dump), in this process
+# (profile), and an unexpected exception in the child
+@pytest.mark.parametrize("failing,error", [("curvature.csv", OSError),
+                                           ("profile.csv", OSError),
+                                           ("curvature.csv", ValueError)])
+def test_dump_failure_exits_two_and_reaps_child(tmp_path, monkeypatch, capfd,
+                                                cli_outputs, failing, error):
+    real_write = cli._atomic_write
+
+    def write(path, chunks):
+        # fail after the header, so the temporary file exists by then
+        if os.path.basename(path) == failing:
+            header = next(iter(chunks))
+
+            def failing_chunks():
+                yield header
+                raise error("disk full")
+            chunks = failing_chunks()
+        real_write(path, chunks)
+
+    monkeypatch.setattr(cli, "_atomic_write", write)
+    code, *written = _run_full(tmp_path)
+    assert code == 2
+    err = capfd.readouterr().err
+    if error is OSError:
+        assert err.count("error: cannot write output: disk full") == 1
+    else:
+        assert "Traceback" in err and "ValueError: disk full" in err
+    for path, want in zip(written, cli_outputs):
+        if path.name == failing:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == want.read_bytes(), path.name
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_single_dump_is_written_without_fork(tmp_path, monkeypatch, cli_outputs):
+    forks = _refusing_fork(monkeypatch)
+    prof = tmp_path / "profile.csv"
+    assert run(["--dim", "3", "--punctures", "3", "--grid", "1000", "--quiet",
+                "--out", str(tmp_path / "report.json"),
+                "--profile-csv", str(prof)]) == 0
+    assert forks == []
+    assert prof.read_bytes() == cli_outputs[1].read_bytes()
+
+
+def test_refused_fork_writes_serially(tmp_path, monkeypatch, cli_outputs):
+    forks = _refusing_fork(monkeypatch)
+    code, *written = _run_full(tmp_path)
+    assert code == 0 and forks == [1]
+    for path, want in zip(written, cli_outputs):
+        assert path.read_bytes() == want.read_bytes(), path.name
 
 
 def test_minimum_grid_dumps_every_row(tmp_path):
