@@ -11,6 +11,7 @@ import os
 import sys
 import tempfile
 import traceback
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -257,7 +258,15 @@ def _fork_writer(report, outputs):
     # what the child prints must not carry text this process has buffered
     sys.stderr.flush()
     try:
-        pid = fork()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (numpy's idle
+            # BLAS pool) forks, as a lock held by one may never be released
+            # in the child. This child never calls BLAS: it only renders and
+            # writes files.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded",
+                DeprecationWarning)
+            pid = fork()
     except OSError:
         return None
     if pid:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,43 +47,79 @@ class LemmaId(str, Enum):
     L2_6iii = "L2_6iii"
 
 
-LEMMA_ANCHOR = {
-    LemmaId.L2_2: "Lemma 2.2",
-    LemmaId.L2_3: "Lemma 2.3",
-    LemmaId.L2_4: "Lemma 2.4",
-    LemmaId.L2_5: "Lemma 2.5",
-    LemmaId.L2_6i: "Lemma 2.6(i)",
-    LemmaId.L2_6ii: "Lemma 2.6(ii)",
-    LemmaId.L2_6iii: "Lemma 2.6(iii)",
+# The two sides (lhs, rhs) of each threshold inequality, oriented so it
+# asserts lhs < rhs; the parameters after x name the constants it reads.
+def _sides_2_2(x, kappa, zeta):
+    return (np.tan(x**2 / kappa + x**4 / zeta) / np.tan(x**2 / kappa),
+            1.0 + np.tan(x) ** 2)
+
+
+def _sides_2_3(x, zeta):
+    return np.sin(x + x**4 / zeta) / np.tan(x), np.ones_like(x)
+
+
+def _sides_2_4(x, kappa):
+    return x**2 / 2.0 + np.tan(x**2 / kappa) ** 2, np.tan(x) ** 2
+
+
+def _sides_2_5(x, R0, kappa, zeta):
+    return ((R0 / zeta) / (1.0 - x**3 * R0 / zeta) ** 2,
+            np.tan(x**2 / kappa + x**4 / zeta) / x**2)
+
+
+def _sides_2_6i(x, R0, kappa, zeta):
+    return R0 * np.sin(x**2 / kappa + x**4 / zeta), (x / 2.0) * np.sin(2.0 * x / kappa)
+
+
+def _sides_2_6ii(x, R0, kappa, zeta):
+    return R0 * np.cos(x**2 / kappa + x**4 / zeta), np.cos(2.0 * x / kappa)
+
+
+def _sides_2_6iii(x, R0, kappa, zeta):
+    return (((x / 2.0) * np.sin(2.0 * x / kappa)
+             - R0 * np.sin(x**2 / kappa + x**4 / zeta)) / (x**2 / kappa),
+            np.cos(2.0 * x / kappa) - R0 * np.cos(x**2 / kappa + x**4 / zeta))
+
+
+class ThresholdLemma(NamedTuple):
+    """One threshold inequality of the cascade: its clause, the constant
+    ``c<c>`` its scan threshold bounds (the three parts of Lemma 2.6 share
+    c5), its report check and its ``sides`` formula. With ``per_x2`` the two
+    sides merge like x^2 at the origin, so a raw minimum over a grid reaching
+    down to x ~ 0 would only measure grid granularity: the check's grid
+    margin is reported per unit x^2."""
+
+    anchor: str
+    c: int
+    per_x2: bool
+    check: str
+    sides: Callable
+
+    @property
+    def needs(self) -> tuple:
+        """The constants the formula reads, in its parameter order."""
+        code = self.sides.__code__
+        return code.co_varnames[1:code.co_argcount]
+
+
+LEMMAS = {
+    LemmaId.L2_2: ThresholdLemma("Lemma 2.2", 1, True, "lemma_2_2_grid", _sides_2_2),
+    LemmaId.L2_3: ThresholdLemma("Lemma 2.3", 2, True, "lemma_2_3_grid", _sides_2_3),
+    LemmaId.L2_4: ThresholdLemma("Lemma 2.4", 3, True, "lemma_2_4_grid", _sides_2_4),
+    LemmaId.L2_5: ThresholdLemma("Lemma 2.5", 4, False, "lemma_2_5_grid", _sides_2_5),
+    LemmaId.L2_6i: ThresholdLemma("Lemma 2.6(i)", 5, True, "lemma_2_6i_grid",
+                                  _sides_2_6i),
+    LemmaId.L2_6ii: ThresholdLemma("Lemma 2.6(ii)", 5, False, "lemma_2_6ii_grid",
+                                   _sides_2_6ii),
+    LemmaId.L2_6iii: ThresholdLemma("Lemma 2.6(iii)", 5, True, "lemma_2_6iii_grid",
+                                    _sides_2_6iii),
 }
 
-_NEEDED = {
-    LemmaId.L2_2: ("kappa", "zeta"),
-    LemmaId.L2_3: ("zeta",),
-    LemmaId.L2_4: ("kappa",),
-    LemmaId.L2_5: ("R0", "kappa", "zeta"),
-    LemmaId.L2_6i: ("R0", "kappa", "zeta"),
-    LemmaId.L2_6ii: ("R0", "kappa", "zeta"),
-    LemmaId.L2_6iii: ("R0", "kappa", "zeta"),
-}
 
-# Inequalities whose two sides merge quadratically as x -> 0; their grid
-# margins are reported per unit x^2 (see lemma_margin_scale).
-QUADRATIC_LEMMAS = frozenset(
-    {LemmaId.L2_2, LemmaId.L2_3, LemmaId.L2_4, LemmaId.L2_6i, LemmaId.L2_6iii}
-)
-
-
-def _const(consts, name: str, lemma_id: LemmaId) -> float:
-    if isinstance(consts, Mapping):
-        value = consts.get(name)
-    else:
-        value = getattr(consts, name, None)
+def _const(consts: Mapping, name: str, clause: str) -> float:
+    value = consts.get(name)
     if value is None:
-        raise ConfigurationError(
-            f"{LEMMA_ANCHOR[lemma_id]} needs constant {name!r}",
-            clause=LEMMA_ANCHOR[lemma_id],
-        )
+        raise ConfigurationError(f"{clause} needs constant {name!r}", clause=clause)
     return float(value)
 
 
@@ -92,40 +128,16 @@ def lemma_bound_eval(lemma_id: LemmaId, x, consts):
 
     ``x`` may be a scalar or an array with entries in (0, pi/4].
     """
-    lemma_id = LemmaId(lemma_id)
+    lemma = LEMMAS[LemmaId(lemma_id)]
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     if np.any(xa <= 0.0) or np.any(xa > X_MAX + 1e-15):
         raise DomainError(f"x must lie in (0, pi/4], got {x!r}")
-    needed = _NEEDED[lemma_id]
-    R0 = _const(consts, "R0", lemma_id) if "R0" in needed else None
-    kappa = _const(consts, "kappa", lemma_id) if "kappa" in needed else None
-    zeta = _const(consts, "zeta", lemma_id) if "zeta" in needed else None
+    values = {name: _const(consts, name, lemma.anchor) for name in lemma.needs}
+    kappa, zeta = values.get("kappa"), values.get("zeta")
     if kappa is not None and np.any(xa**2 / kappa + xa**4 / (zeta or math.inf) >= math.pi / 2):
         raise DomainError("tan argument reaches pi/2; constants out of range")
-
-    if lemma_id is LemmaId.L2_2:
-        lhs = np.tan(xa**2 / kappa + xa**4 / zeta) / np.tan(xa**2 / kappa)
-        rhs = 1.0 + np.tan(xa) ** 2
-    elif lemma_id is LemmaId.L2_3:
-        lhs = np.sin(xa + xa**4 / zeta) / np.tan(xa)
-        rhs = np.ones_like(xa)
-    elif lemma_id is LemmaId.L2_4:
-        lhs = xa**2 / 2.0 + np.tan(xa**2 / kappa) ** 2
-        rhs = np.tan(xa) ** 2
-    elif lemma_id is LemmaId.L2_5:
-        lhs = (R0 / zeta) / (1.0 - xa**3 * R0 / zeta) ** 2
-        rhs = np.tan(xa**2 / kappa + xa**4 / zeta) / xa**2
-    elif lemma_id is LemmaId.L2_6i:
-        lhs = R0 * np.sin(xa**2 / kappa + xa**4 / zeta)
-        rhs = (xa / 2.0) * np.sin(2.0 * xa / kappa)
-    elif lemma_id is LemmaId.L2_6ii:
-        lhs = R0 * np.cos(xa**2 / kappa + xa**4 / zeta)
-        rhs = np.cos(2.0 * xa / kappa)
-    else:  # L2_6iii
-        lhs = ((xa / 2.0) * np.sin(2.0 * xa / kappa)
-               - R0 * np.sin(xa**2 / kappa + xa**4 / zeta)) / (xa**2 / kappa)
-        rhs = np.cos(2.0 * xa / kappa) - R0 * np.cos(xa**2 / kappa + xa**4 / zeta)
+    lhs, rhs = lemma.sides(xa, **values)
     if scalar:
         return float(lhs), float(rhs)
     return lhs, rhs
@@ -135,19 +147,6 @@ def lemma_margin(lemma_id: LemmaId, x, consts):
     """rhs - lhs of the oriented inequality (positive where it holds)."""
     lhs, rhs = lemma_bound_eval(lemma_id, x, consts)
     return rhs - lhs
-
-
-def lemma_margin_scale(lemma_id: LemmaId, x):
-    """Normalisation for reported grid margins.
-
-    The two sides of the quadratically-degenerate inequalities merge like
-    x^2 at the origin, so a raw minimum over a grid reaching down to x ~ 0
-    only measures grid granularity; those margins are reported per unit x^2.
-    """
-    lemma_id = LemmaId(lemma_id)
-    if lemma_id in QUADRATIC_LEMMAS:
-        return np.asarray(x, dtype=float) ** 2
-    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _bisect(fn, lo: float, hi: float, rtol: float = BISECT_RTOL) -> float:
@@ -173,7 +172,8 @@ def threshold_scan(lemma_id: LemmaId, consts) -> float:
     (0, pi/4], refined by bisection at the first violation and discounted by
     a 0.9 safety factor. Returns 0.9 * pi/4 when no violation is found."""
     lemma_id = LemmaId(lemma_id)
-    values = tuple(_const(consts, name, lemma_id) for name in _NEEDED[lemma_id])
+    lemma = LEMMAS[lemma_id]
+    values = tuple(_const(consts, name, lemma.anchor) for name in lemma.needs)
     return _threshold_scan(lemma_id, values)
 
 
@@ -181,7 +181,8 @@ def threshold_scan(lemma_id: LemmaId, consts) -> float:
 # scans the same seven inequalities. Errors are not cached.
 @lru_cache(maxsize=64)
 def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
-    consts = dict(zip(_NEEDED[lemma_id], values))
+    lemma = LEMMAS[lemma_id]
+    consts = dict(zip(lemma.needs, values))
     xs = open_grid(0.0, X_MAX, SCAN_POINTS, open_lo=True)
     margins = lemma_margin(lemma_id, xs, consts)
     bad = np.nonzero(margins <= 0.0)[0]
@@ -190,9 +191,9 @@ def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
     first = int(bad[0])
     if first == 0:
         raise CertificationError(
-            f"{LEMMA_ANCHOR[lemma_id]} fails arbitrarily close to 0 "
+            f"{lemma.anchor} fails arbitrarily close to 0 "
             f"(margin {float(margins[0])!r} at x = {float(xs[0])!r})",
-            check=LEMMA_ANCHOR[lemma_id],
+            check=lemma.anchor,
         )
     root = _bisect(lambda v: float(lemma_margin(lemma_id, v, consts)),
                    float(xs[first - 1]), float(xs[first]))
@@ -202,9 +203,9 @@ def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
 def compute_iota(consts, points: int = 10_000) -> float:
     """Safety-discounted minimum of 1 - tan(t)/tan(t + r0^4/zeta) over
     [r0^2/kappa, r0]; must be positive."""
-    r0 = _const(consts, "r0", LemmaId.L2_3)
-    zeta = _const(consts, "zeta", LemmaId.L2_3)
-    kappa = _const(consts, "kappa", LemmaId.L2_2)
+    r0 = _const(consts, "r0", "Lemma 2.11")
+    zeta = _const(consts, "zeta", "Lemma 2.11")
+    kappa = _const(consts, "kappa", "Lemma 2.11")
     shift = r0**4 / zeta
     ts = np.linspace(r0**2 / kappa, r0, points)
     vals = 1.0 - np.tan(ts) / np.tan(ts + shift)
@@ -220,10 +221,10 @@ def compute_iota(consts, points: int = 10_000) -> float:
 def compute_mu0(consts, iota: float, points: int = 10_000) -> float:
     """Smoothing budget: safety-discounted minimum of the four admissibility
     bounds of Lemma 2.12."""
-    r0 = _const(consts, "r0", LemmaId.L2_3)
-    zeta = _const(consts, "zeta", LemmaId.L2_3)
-    kappa = _const(consts, "kappa", LemmaId.L2_2)
-    psi = _const(consts, "psi", LemmaId.L2_2)
+    r0 = _const(consts, "r0", "Lemma 2.12")
+    zeta = _const(consts, "zeta", "Lemma 2.12")
+    kappa = _const(consts, "kappa", "Lemma 2.12")
+    psi = _const(consts, "psi", "Lemma 2.12")
     shift = r0**4 / zeta
     ts = np.linspace(r0**2 / kappa, r0, points)
     cot = 1.0 / np.tan(ts)
@@ -364,13 +365,10 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
     Lambda = gamma.Lambda
 
     consts = {"R0": R0, "kappa": kappa, "zeta": zeta}
-    c = tuple(
-        threshold_scan(lemma, consts)
-        for lemma in (LemmaId.L2_2, LemmaId.L2_3, LemmaId.L2_4, LemmaId.L2_5)
-    ) + (
-        min(threshold_scan(lemma, consts)
-            for lemma in (LemmaId.L2_6i, LemmaId.L2_6ii, LemmaId.L2_6iii)),
-    )
+    c = [math.inf] * 5
+    for lemma_id, lemma in LEMMAS.items():
+        c[lemma.c - 1] = min(c[lemma.c - 1], threshold_scan(lemma_id, consts))
+    c = tuple(c)
 
     r0_cap = min(R0, math.pi / (2.0 * (1.0 + Lambda)), *c)
     r0_default = SAFETY * min(r0_cap, math.pi / p)

@@ -26,11 +26,11 @@ from .curvature import curvature_grid, intrinsic_sectional
 from .errors import CertificationError, RicciForgeError
 from .grids import GridSpec, open_grid
 from .paramgen import (
+    LEMMAS,
     STRICT_FLOOR,
     LemmaId,
     ParamSet,
     lemma_margin,
-    lemma_margin_scale,
     select_params,
     star_margin,
 )
@@ -47,13 +47,7 @@ STRICT, NONNEG, TOL = "strict", "nonneg", "tol"
 # Canonical check set: fixed names, clause anchors, pass rules.
 CHECK_TABLE = (
     ("parameter_invariants", "Definitions 2.1/2.7/2.8; Lemmas 2.11/2.12", NONNEG),
-    ("lemma_2_2_grid", "Lemma 2.2", STRICT),
-    ("lemma_2_3_grid", "Lemma 2.3", STRICT),
-    ("lemma_2_4_grid", "Lemma 2.4", STRICT),
-    ("lemma_2_5_grid", "Lemma 2.5", STRICT),
-    ("lemma_2_6i_grid", "Lemma 2.6(i)", STRICT),
-    ("lemma_2_6ii_grid", "Lemma 2.6(ii)", STRICT),
-    ("lemma_2_6iii_grid", "Lemma 2.6(iii)", STRICT),
+    *((lemma.check, lemma.anchor, STRICT) for lemma in LEMMAS.values()),
     ("gamma_first_derivative_bound", "Definition 2.7", STRICT),
     ("gamma_second_derivative_bound", "Definition 2.7", STRICT),
     ("star_inequality_at_psi", "Lemma 2.9 proof (*)", STRICT),
@@ -180,16 +174,17 @@ def _param_slacks(params: ParamSet) -> float:
     return float(min(slacks))
 
 
-def _lemma_grid_check(name: str, lemma: LemmaId, params: ParamSet, points: int) -> CheckResult:
+def _lemma_grid_check(lemma_id: LemmaId, params: ParamSet, points: int) -> CheckResult:
+    lemma = LEMMAS[lemma_id]
     consts = {"R0": params.R0, "kappa": params.kappa, "zeta": params.zeta}
     xs = open_grid(0.0, params.r0, points, open_lo=True)
-    vals = lemma_margin(lemma, xs, consts) / lemma_margin_scale(lemma, xs)
 
     def fn(x):
-        return float(lemma_margin(lemma, x, consts) / lemma_margin_scale(lemma, x))
+        margin = lemma_margin(lemma_id, x, consts)
+        return margin / np.asarray(x, dtype=float) ** 2 if lemma.per_x2 else margin
 
-    margin, at = _refined_min(xs, vals, fn)
-    return _result(name, margin, at)
+    margin, at = _refined_min(xs, fn(xs), fn)
+    return _result(lemma.check, margin, at)
 
 
 def gauss_crosscheck(profile, params: ParamSet) -> CheckResult:
@@ -286,14 +281,8 @@ def run_verification(n: int, p: int, overrides=None,
     results["parameter_invariants"] = _result("parameter_invariants",
                                               _param_slacks(params), None)
 
-    lemma_checks = (
-        ("lemma_2_2_grid", LemmaId.L2_2), ("lemma_2_3_grid", LemmaId.L2_3),
-        ("lemma_2_4_grid", LemmaId.L2_4), ("lemma_2_5_grid", LemmaId.L2_5),
-        ("lemma_2_6i_grid", LemmaId.L2_6i), ("lemma_2_6ii_grid", LemmaId.L2_6ii),
-        ("lemma_2_6iii_grid", LemmaId.L2_6iii),
-    )
-    for name, lemma in lemma_checks:
-        results[name] = _lemma_grid_check(name, lemma, params, points)
+    for lemma_id, lemma in LEMMAS.items():
+        results[lemma.check] = _lemma_grid_check(lemma_id, params, points)
 
     (g1, at1), (g2, at2) = BumpFunction(params.Lambda).derivative_sups()
     results["gamma_first_derivative_bound"] = _result(

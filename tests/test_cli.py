@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,15 @@ def test_csv_boundary_columns_empty_past_ball(cli_outputs):
             assert cells[4] == "" and cells[7] == ""
         else:
             assert cells[4] != ""
+
+
+def test_csv_boundary_poles_leave_curvature_empty(cli_outputs):
+    # B = 0 at both poles, where neither sectional curvature is defined
+    *_, bdry = cli_outputs
+    lines = bdry.read_text().splitlines()
+    for line in (lines[1], lines[-1]):
+        cells = line.split(",")
+        assert cells[1] == "0" and cells[4:] == ["", ""], line
 
 
 def test_outputs_deterministic(tmp_path, cli_outputs):
@@ -352,6 +362,33 @@ def test_forked_dumps_equal_serial_dumps(tmp_path, monkeypatch):
     (tmp_path / "serial").mkdir()
     code, *serial = _run_full(tmp_path / "serial")
     assert code == 0 and forks == [1]
+    for a, b in zip(forked, serial):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_fork_thread_warning_is_ignored(tmp_path, monkeypatch):
+    # Python 3.12+ warns on a fork from a process with threads; the CLI
+    # ignores only that warning, even where warnings are errors
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                      "use of fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    (tmp_path / "forked").mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, *forked = _run_full(tmp_path / "forked")
+    assert code == 0 and forks == [1]
+    monkeypatch.delattr(os, "fork")
+    (tmp_path / "serial").mkdir()
+    code, *serial = _run_full(tmp_path / "serial")
+    assert code == 0
     for a, b in zip(forked, serial):
         assert a.read_bytes() == b.read_bytes(), a.name
 

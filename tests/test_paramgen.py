@@ -17,12 +17,14 @@ from ricci_forge import (
 )
 from ricci_forge import paramgen
 from ricci_forge.paramgen import (
+    LEMMAS,
     SAFETY,
     X_MAX,
     lemma_margin,
     star_margin,
     theta_boundary_values,
 )
+from ricci_forge.verify import CHECK_TABLE
 
 CONSTS = {"R0": 0.1, "kappa": 4.0, "zeta": 4.5}
 
@@ -136,6 +138,32 @@ def test_threshold_scans_shared_across_n_and_p():
         assert paramgen._threshold_scan.cache_info().misses == 7
     finally:
         paramgen._threshold_scan.cache_clear()
+
+
+@pytest.mark.parametrize("budget, consts, clause", [
+    (compute_iota, {"r0": 0.05, "kappa": 4.0}, "Lemma 2.11"),
+    (lambda c: compute_mu0(c, 1e-5),
+     {"r0": 0.05, "kappa": 4.0, "zeta": 4.5}, "Lemma 2.12"),
+])
+def test_slope_budgets_name_their_lemma(budget, consts, clause):
+    with pytest.raises(ConfigurationError) as err:
+        budget(consts)
+    assert err.value.clause == clause
+
+
+def test_lemma_catalogue_feeds_check_table_and_cascade(params33):
+    anchors = {name: anchor for name, anchor, _ in CHECK_TABLE}
+    for lemma in LEMMAS.values():
+        assert anchors[lemma.check] == lemma.anchor
+    assert sorted({lemma.c for lemma in LEMMAS.values()}) == [1, 2, 3, 4, 5]
+    assert list(LEMMAS) == list(LemmaId)
+    # each c entry is the least threshold of the lemmas bounding it
+    p = params33
+    consts = {"R0": p.R0, "kappa": p.kappa, "zeta": p.zeta}
+    for k in range(1, 6):
+        assert p.c[k - 1] == min(threshold_scan(lemma_id, consts)
+                                 for lemma_id, lemma in LEMMAS.items()
+                                 if lemma.c == k)
 
 
 def test_compute_iota_positive_and_matches_dense_rescan(params33):
