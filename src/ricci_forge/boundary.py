@@ -79,14 +79,12 @@ def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> Boundary
     vp, vm = B(s[inner] + h), B(s[inner] - h)
     d1[inner] = (vp - vm) / (2.0 * h)
     d2[inner] = (vp - 2.0 * vals[inner] + vm) / h**2
-    # One-sided second-order differences at the near pole. The smooth closure
-    # lives inside the small-sphere layer t < psi of the profile (the slope
-    # drops sharply right past it), so the pole step must resolve that layer.
-    h_pole = min(h, 0.05 * params.psi / math.tan(r0))
-    f0 = vals[0]
-    f1, f2, f3 = B(h_pole), B(2.0 * h_pole), B(3.0 * h_pole)
-    d1[0] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h_pole)
-    d2[0] = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / h_pole**2
+    # The near pole by the chain rule on the profile's jet at t = 0: in the
+    # unrescaled arc length t has slope 1 and curvature 0 there, so B' = R'(0)
+    # and B'' = tan(r0) R''(0); + 0.0 as the inner piece's R''(0) is -0.0,
+    # which the CSV would print as -0.
+    _, r1, r2 = profile.jet(0.0)
+    d1[0], d2[0] = r1, math.tan(r0) * r2 + 0.0
     # The boundary is symmetric about its apex, so the far pole is the near
     # one mirrored; a stencil there would read sin(pi) != 0 in floats.
     vals[-1], d1[-1], d2[-1] = vals[0], -d1[0], d2[0]

@@ -5,6 +5,7 @@ report and optional CSV dumps, and reflect the outcome in the exit code
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,17 +42,18 @@ class RunConfig:
     verbosity: str = "normal"
 
 
-_OUTPUT_FIELDS = ("out_report", "out_profile_csv", "out_curvature_csv",
-                  "out_boundary_csv")
-
-
 class UsageError(Exception):
     pass
 
 
-def _override_value(name: str, raw) -> float:
+def _override(name: str, raw, where: str = "") -> tuple[str, float]:
+    """``(name, value)`` of one override; ``where`` names its source in the
+    error for an unknown name."""
+    if name not in OVERRIDE_NAMES:
+        raise UsageError(f"unknown override {name!r}{where}; valid names: "
+                         f"{', '.join(OVERRIDE_NAMES)}")
     try:
-        return float(raw)
+        return name, float(raw)
     except (TypeError, ValueError):
         raise UsageError(f"override {name!r} needs a numeric value, got {raw!r}")
 
@@ -60,11 +62,7 @@ def _parse_override(text: str) -> tuple[str, float]:
     if "=" not in text:
         raise UsageError(f"--set expects NAME=VALUE, got {text!r}")
     name, _, raw = text.partition("=")
-    name = name.strip()
-    if name not in OVERRIDE_NAMES:
-        raise UsageError(
-            f"unknown override {name!r}; valid names: {', '.join(OVERRIDE_NAMES)}")
-    return name, _override_value(name, raw)
+    return _override(name.strip(), raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,20 +70,31 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ricci-forge",
         description="Certify the squashed punctured-sphere construction for a "
                     "given dimension and number of removed discs.")
-    ap.add_argument("--dim", type=int, help="ambient sphere dimension n (>= 3)")
-    ap.add_argument("--punctures", type=int, help="number of removed discs p (>= 1)")
-    ap.add_argument("--grid", type=int, help="grid resolution (default 10000)")
-    ap.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
+    # each flag's dest is the RunConfig field it sets
+    ap.add_argument("--dim", dest="n", type=int, metavar="DIM",
+                    help="ambient sphere dimension n (>= 3)")
+    ap.add_argument("--punctures", dest="p", type=int, metavar="PUNCTURES",
+                    help="number of removed discs p (>= 1)")
+    ap.add_argument("--grid", dest="grid_points", type=int, metavar="GRID",
+                    help="grid resolution (default 10000)")
+    ap.add_argument("--set", dest="overrides", action="append", default=[],
+                    metavar="NAME=VALUE",
                     help="pin a constant (repeatable); names: "
                          + ", ".join(OVERRIDE_NAMES))
-    ap.add_argument("--out", help="path of the JSON report")
-    ap.add_argument("--profile-csv", help="dump the warping profile as CSV")
-    ap.add_argument("--curvature-csv", help="dump curvature samples as CSV")
-    ap.add_argument("--boundary-csv", help="dump boundary metric samples as CSV")
+    ap.add_argument("--out", dest="out_report", metavar="OUT",
+                    help="path of the JSON report")
+    ap.add_argument("--profile-csv", dest="out_profile_csv", metavar="PROFILE_CSV",
+                    help="dump the warping profile as CSV")
+    ap.add_argument("--curvature-csv", dest="out_curvature_csv",
+                    metavar="CURVATURE_CSV", help="dump curvature samples as CSV")
+    ap.add_argument("--boundary-csv", dest="out_boundary_csv",
+                    metavar="BOUNDARY_CSV", help="dump boundary metric samples as CSV")
     ap.add_argument("--config", help="JSON config file mirroring the flags")
     g = ap.add_mutually_exclusive_group()
-    g.add_argument("--quiet", action="store_true", help="suppress the summary")
-    g.add_argument("--verbose", action="store_true", help="also print parameters")
+    g.add_argument("--quiet", dest="verbosity", action="store_const", const="quiet",
+                   help="suppress the summary")
+    g.add_argument("--verbose", dest="verbosity", action="store_const",
+                   const="verbose", help="also print parameters")
     return ap
 
 
@@ -112,35 +121,19 @@ def _merge_config(args) -> RunConfig:
             if key == "overrides":
                 if not isinstance(value, dict):
                     raise UsageError("config 'overrides' must be an object")
-                for name, raw in value.items():
-                    if name not in OVERRIDE_NAMES:
-                        raise UsageError(
-                            f"unknown override {name!r} in config; valid names: "
-                            f"{', '.join(OVERRIDE_NAMES)}")
-                    cfg.overrides[name] = _override_value(name, raw)
+                cfg.overrides.update(_override(name, raw, " in config")
+                                     for name, raw in value.items())
             else:
                 setattr(cfg, key, value)
-    if args.dim is not None:
-        cfg.n = args.dim
-    if args.punctures is not None:
-        cfg.p = args.punctures
-    if args.grid is not None:
-        cfg.grid_points = args.grid
-    for item in args.set:
-        name, value = _parse_override(item)
-        cfg.overrides[name] = value
-    if args.out:
-        cfg.out_report = args.out
-    if args.profile_csv:
-        cfg.out_profile_csv = args.profile_csv
-    if args.curvature_csv:
-        cfg.out_curvature_csv = args.curvature_csv
-    if args.boundary_csv:
-        cfg.out_boundary_csv = args.boundary_csv
-    if args.quiet:
-        cfg.verbosity = "quiet"
-    elif args.verbose:
-        cfg.verbosity = "verbose"
+    for f in fields(RunConfig):
+        given = getattr(args, f.name)
+        if f.name == "overrides":
+            # --set merges over the config's overrides by name
+            cfg.overrides.update(_parse_override(item) for item in given)
+        elif given not in (None, ""):
+            # a given flag wins; an omitted one or an empty path keeps the
+            # config's value
+            setattr(cfg, f.name, given)
 
     if cfg.n is None or cfg.p is None:
         raise UsageError("--dim and --punctures are required (or set n/p in --config)")
@@ -156,7 +149,7 @@ def _merge_config(args) -> RunConfig:
         raise UsageError(f"--grid must be >= {MIN_GRID}, got {cfg.grid_points}")
     if cfg.verbosity not in ("quiet", "normal", "verbose"):
         raise UsageError(f"verbosity must be quiet/normal/verbose, got {cfg.verbosity!r}")
-    for field_name in _OUTPUT_FIELDS:
+    for field_name in _OUTPUTS:
         value = getattr(cfg, field_name)
         if value is not None and not isinstance(value, str):
             raise UsageError(f"{field_name} must be a path string, got {value!r}")
@@ -194,43 +187,40 @@ def _csv(header: str, cols):
             [col[start:start + CSV_BLOCK_ROWS] for col in cols]))
 
 
-def _profile_csv(report):
-    profile = report.artifacts["profile"]
-    ts = report.artifacts["t_grid"]
-    return _csv("t,R,R1,R2",
-                (ts, *profile.jet(ts)))
+def _curvature_columns(report):
+    c = report.artifacts["curvature"]
+    return c.ric_tt, c.ric_xx, c.ric_ss, c.pc_circle, c.pc_sphere, c.ki_ys, c.ki_ss
 
 
-def _curvature_csv(report):
-    curv = report.artifacts["curvature"]
-    return _csv("t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
-                (curv.t, curv.ric_tt, curv.ric_xx, curv.ric_ss,
-                 curv.pc_circle, curv.pc_sphere, curv.ki_ys, curv.ki_ss))
-
-
-def _boundary_csv(report):
-    bm = report.artifacts["boundary"]
-    s, b, b1, b2 = bm.samples.T
+def _boundary_columns(report):
+    _, b, b1, b2 = report.artifacts["boundary"].samples.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_rad = -b2 / b
-        k_tan = (1.0 - b1**2) / b**2
-    return _csv("s,B,B1,B2,K_rad,K_tan", (s, b, b1, b2, k_rad, k_tan))
+        return b, b1, b2, -b2 / b, (1.0 - b1**2) / b**2
+
+
+# Each CSV dump: the RunConfig field of its path, its header, its first
+# column and its other columns, read from a report. The first column is
+# stored in the report, so a dump's cells (the header's column count times
+# that column's length) are known before anything is computed for it.
+DUMPS = (
+    ("out_profile_csv", "t,R,R1,R2", lambda r: r.artifacts["t_grid"],
+     lambda r: r.artifacts["profile"].jet(r.artifacts["t_grid"])),
+    ("out_curvature_csv", "t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
+     lambda r: r.artifacts["curvature"].t, _curvature_columns),
+    ("out_boundary_csv", "s,B,B1,B2,K_rad,K_tan",
+     lambda r: r.artifacts["boundary"].samples[:, 0], _boundary_columns),
+)
+_OUTPUTS = ("out_report", *(key for key, *_ in DUMPS))
+
+
+def _render(dump, report):
+    """The CSV text pieces of one ``DUMPS`` entry for ``report``."""
+    _, header, first, rest = dump
+    return _csv(header, (first(report), *rest(report)))
 
 
 def _report_json(report):
     return [report_to_json(report)]
-
-
-def _csv_dumps(cfg: RunConfig, report):
-    """``(path, dump)`` of each requested CSV dump, ordered by cells (rows
-    x columns, known before anything is rendered), the largest last."""
-    rows = report.artifacts["t_grid"].size
-    b_rows = report.artifacts["boundary"].samples.shape[0]
-    dumps = [(cfg.out_profile_csv, _profile_csv, 4 * rows),
-             (cfg.out_curvature_csv, _curvature_csv, 8 * rows),
-             (cfg.out_boundary_csv, _boundary_csv, 6 * b_rows)]
-    dumps.sort(key=lambda d: d[2])
-    return [(path, dump) for path, dump, _ in dumps if path]
 
 
 def _write_outputs(report, outputs) -> bool:
@@ -316,7 +306,7 @@ def run(argv) -> int:
     try:
         cfg = _merge_config(args)
         seen = {}
-        for field_name in _OUTPUT_FIELDS:
+        for field_name in _OUTPUTS:
             path = getattr(cfg, field_name)
             if path:
                 _check_writable(path)
@@ -342,13 +332,16 @@ def run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    wants_csv = cfg.out_profile_csv or cfg.out_curvature_csv or cfg.out_boundary_csv
-    if wants_csv and "profile" not in report.artifacts:
+    wanted = [d for d in DUMPS if getattr(cfg, d[0])]
+    if wanted and "profile" not in report.artifacts:
         print("warning: pipeline failed before the profile was built; "
               "CSV dumps skipped", file=sys.stderr)
-    dumps = _csv_dumps(cfg, report) if "profile" in report.artifacts else []
-    # a forked child writes the largest dump while this process writes the
-    # report and the others; without a fork, this process writes them all
+        wanted = []
+    # a forked child writes the dump with the most cells (the header's
+    # columns times the rows) while this process writes the report and the
+    # others; without a fork, this process writes them all
+    wanted.sort(key=lambda d: (d[1].count(",") + 1) * len(d[2](report)))
+    dumps = [(getattr(cfg, d[0]), functools.partial(_render, d)) for d in wanted]
     pid = _fork_writer(report, dumps[-1:]) if len(dumps) >= 2 else None
     if pid is not None:
         dumps = dumps[:-1]

@@ -11,7 +11,7 @@ it violated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
@@ -200,16 +200,15 @@ def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
     return SAFETY * root
 
 
-def compute_iota(consts, points: int = 10_000) -> float:
-    """Safety-discounted minimum of 1 - tan(t)/tan(t + r0^4/zeta) over
-    [r0^2/kappa, r0]; must be positive."""
-    r0 = _const(consts, "r0", "Lemma 2.11")
-    zeta = _const(consts, "zeta", "Lemma 2.11")
-    kappa = _const(consts, "kappa", "Lemma 2.11")
-    shift = r0**4 / zeta
+# tan(t) and tan(t + r0^4/zeta) on the grid of [r0^2/kappa, r0] that both
+# slope budgets are taken on
+def _tangents(r0: float, zeta: float, kappa: float, points: int):
     ts = np.linspace(r0**2 / kappa, r0, points)
-    vals = 1.0 - np.tan(ts) / np.tan(ts + shift)
-    m = float(np.min(vals))
+    return np.tan(ts), np.tan(ts + r0**4 / zeta)
+
+
+def _iota(tan_t, tan_shifted) -> float:
+    m = float(np.min(1.0 - tan_t / tan_shifted))
     if m <= 0.0:
         raise CertificationError(
             f"slope-ratio margin non-positive (min {m!r}); contradicts Lemma 2.11",
@@ -218,17 +217,9 @@ def compute_iota(consts, points: int = 10_000) -> float:
     return SAFETY * m
 
 
-def compute_mu0(consts, iota: float, points: int = 10_000) -> float:
-    """Smoothing budget: safety-discounted minimum of the four admissibility
-    bounds of Lemma 2.12."""
-    r0 = _const(consts, "r0", "Lemma 2.12")
-    zeta = _const(consts, "zeta", "Lemma 2.12")
-    kappa = _const(consts, "kappa", "Lemma 2.12")
-    psi = _const(consts, "psi", "Lemma 2.12")
-    shift = r0**4 / zeta
-    ts = np.linspace(r0**2 / kappa, r0, points)
-    cot = 1.0 / np.tan(ts)
-    cot_shifted = 1.0 / np.tan(ts + shift)
+def _mu0(r0: float, psi: float, iota: float, tan_t, tan_shifted) -> float:
+    cot = 1.0 / tan_t
+    cot_shifted = 1.0 / tan_shifted
     cot_r0_sq = 1.0 / math.tan(r0) ** 2
 
     bound_iii = float(np.min((cot - cot_shifted) / (1.0 + cot)))
@@ -237,7 +228,7 @@ def compute_mu0(consts, iota: float, points: int = 10_000) -> float:
             f"Lemma 2.12(iii) bound non-positive (min {bound_iii!r})",
             check="Lemma 2.12(iii)",
         )
-    numer_iv = cot_shifted * (1.0 + cot_r0_sq) * np.tan(ts) - cot_r0_sq
+    numer_iv = cot_shifted * (1.0 + cot_r0_sq) * tan_t - cot_r0_sq
     bound_iv = float(np.min(numer_iv / (math.tan(r0) * (1.0 + cot_r0_sq))))
     if bound_iv <= 0.0:
         raise CertificationError(
@@ -245,6 +236,31 @@ def compute_mu0(consts, iota: float, points: int = 10_000) -> float:
             check="Lemma 2.12(iv)",
         )
     return SAFETY * min(psi, iota / math.tan(r0), bound_iii, bound_iv)
+
+
+def compute_iota(consts, points: int = 10_000) -> float:
+    """Safety-discounted minimum of 1 - tan(t)/tan(t + r0^4/zeta) over
+    [r0^2/kappa, r0]; must be positive."""
+    r0, zeta, kappa = (_const(consts, k, "Lemma 2.11") for k in ("r0", "zeta", "kappa"))
+    return _iota(*_tangents(r0, zeta, kappa, points))
+
+
+def compute_mu0(consts, iota: float, points: int = 10_000) -> float:
+    """Smoothing budget: safety-discounted minimum of the four admissibility
+    bounds of Lemma 2.12."""
+    r0, zeta, kappa, psi = (_const(consts, k, "Lemma 2.12")
+                            for k in ("r0", "zeta", "kappa", "psi"))
+    return _mu0(r0, psi, iota, *_tangents(r0, zeta, kappa, points))
+
+
+# Every (n, p) of one cascade has the same (iota, mu0): keep only the two
+# floats, from one grid. Errors are not cached.
+@lru_cache(maxsize=64)
+def _slope_budgets(r0: float, zeta: float, kappa: float, psi: float,
+                   points: int) -> tuple[float, float]:
+    tangents = _tangents(r0, zeta, kappa, points)
+    iota = _iota(*tangents)
+    return iota, _mu0(r0, psi, iota, *tangents)
 
 
 def theta_boundary_values(R0: float, kappa: float, zeta: float, r0: float):
@@ -300,24 +316,16 @@ class ParamSet:
         return self.r0**4 / self.zeta
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "R0": self.R0,
-            "kappa": self.kappa,
-            "zeta": self.zeta,
-            "Lambda": self.Lambda,
-            "r0": self.r0,
-            "c1": self.c[0],
-            "c2": self.c[1],
-            "c3": self.c[2],
-            "c4": self.c[3],
-            "c5": self.c[4],
-            "psi": self.psi,
-            "iota": self.iota,
-            "mu0": self.mu0,
-            "mu": self.mu,
-        }
+        """The fields in their order, with ``c`` expanded in place to
+        c1..c5."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "c":
+                out.update((f"c{i}", ci) for i, ci in enumerate(value, 1))
+            else:
+                out[f.name] = value
+        return out
 
 
 OVERRIDE_NAMES = ("R0", "kappa", "zeta", "Lambda", "r0", "mu")
@@ -407,10 +415,7 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
             check="Lemma 2.9 (psi selection)",
         )
 
-    iota = compute_iota({"r0": r0, "zeta": zeta, "kappa": kappa}, points=points)
-    mu0 = compute_mu0(
-        {"r0": r0, "zeta": zeta, "kappa": kappa, "psi": psi}, iota, points=points
-    )
+    iota, mu0 = _slope_budgets(r0, zeta, kappa, psi, points)
     mu = float(ov.get("mu", mu0 / 2.0))
     if not 0.0 < mu < mu0:
         _reject(f"mu = {mu!r} outside (0, mu0) with mu0 = {mu0!r}; "

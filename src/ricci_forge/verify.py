@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -268,35 +268,30 @@ def run_verification(n: int, p: int, overrides=None,
     results: dict[str, CheckResult] = {}
     artifacts: dict = {}
 
+    def emit(name, margin, at, cause=None):
+        results[name] = _result(name, margin, at, cause)
+
     try:
         params = select_params(n, p, overrides, points=points)
     except RicciForgeError as e:
         cause = _error_text(e)
-        results["parameter_invariants"] = _result("parameter_invariants",
-                                                  None, None, cause)
+        emit("parameter_invariants", None, None, cause)
         return _assemble(None, results, artifacts,
                          f"parameter cascade failed ({cause})")
 
     artifacts["params"] = params
-    results["parameter_invariants"] = _result("parameter_invariants",
-                                              _param_slacks(params), None)
+    emit("parameter_invariants", _param_slacks(params), None)
 
     for lemma_id, lemma in LEMMAS.items():
         results[lemma.check] = _lemma_grid_check(lemma_id, params, points)
 
     (g1, at1), (g2, at2) = BumpFunction(params.Lambda).derivative_sups()
-    results["gamma_first_derivative_bound"] = _result(
-        "gamma_first_derivative_bound", params.R0 - g1, at1)
-    results["gamma_second_derivative_bound"] = _result(
-        "gamma_second_derivative_bound", params.R0 - g2, at2)
-
-    results["star_inequality_at_psi"] = _result(
-        "star_inequality_at_psi",
-        star_margin(params.R0, params.kappa, params.zeta, params.r0, params.psi),
-        params.psi)
-
-    results["r0_disjointness"] = _result(
-        "r0_disjointness", math.pi / params.p - params.r0, params.r0)
+    emit("gamma_first_derivative_bound", params.R0 - g1, at1)
+    emit("gamma_second_derivative_bound", params.R0 - g2, at2)
+    emit("star_inequality_at_psi",
+         star_margin(params.R0, params.kappa, params.zeta, params.r0, params.psi),
+         params.psi)
+    emit("r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
     try:
         profile, c1_margins, smooth_margins = _profile_stage(
@@ -324,37 +319,30 @@ def run_verification(n: int, p: int, overrides=None,
     for name, col in (("ricci_tt_positive", curv.ric_tt),
                       ("ricci_xx_positive", curv.ric_xx),
                       ("ricci_ss_positive", curv.ric_ss)):
-        m, at = _refined_min(t_curv, col)
-        results[name] = _result(name, m, at)
+        emit(name, *_refined_min(t_curv, col))
 
     mb = t_curv <= r0 + 1e-15
     tb = t_curv[mb]
     cot_r0 = 1.0 / math.tan(r0)
     pc_worst = np.minimum(curv.pc_circle[mb], curv.pc_sphere[mb]) + cot_r0
-    m, at = _refined_min(tb, pc_worst)
-    results["corollary_2_16_bound"] = _result("corollary_2_16_bound", m, at)
+    emit("corollary_2_16_bound", *_refined_min(tb, pc_worst))
     for name, col in (("lemma_2_17_bound", curv.ki_ys),
                       ("lemma_2_18_bound", curv.ki_ss)):
-        m, at = _refined_min(tb, col[mb] - cot_r0**2)
-        results[name] = _result(name, m, at)
+        emit(name, *_refined_min(tb, col[mb] - cot_r0**2))
 
     results["gauss_crosscheck"] = gauss_crosscheck(profile, params)
     results["angle_identity"] = _angle_identity_check(r0, min(points, 2_000))
 
     bm = boundary_metric(profile, params, points)
     artifacts["boundary"] = bm
-    results["tau_below_r0"] = _result("tau_below_r0", params.R0 - bm.tau, None)
-    results["omega_exceeds_tau_power"] = _result(
-        "omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
+    emit("tau_below_r0", params.R0 - bm.tau, None)
+    emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
     try:
         lo, hi = rho_interval(bm)
-        margin = min(hi - lo, 0.5 - lo)
-        results["rho_interval_nonempty"] = _result("rho_interval_nonempty",
-                                                   margin, None)
+        emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
         artifacts["rho"] = (lo, hi)
     except CertificationError as e:
-        results["rho_interval_nonempty"] = _result("rho_interval_nonempty",
-                                                   None, None, _error_text(e))
+        emit("rho_interval_nonempty", None, None, _error_text(e))
 
     return _assemble(params, results, artifacts)
 
@@ -385,21 +373,17 @@ def _json_num(x):
     return float(x)
 
 
+# a check's keys in the report: CheckResult's fields, in their order
+_CHECK_KEYS = tuple(f.name for f in fields(CheckResult))
+
+
 def report_to_dict(report: VerificationReport) -> dict:
     return {
         "schema": SCHEMA,
         "params": report.params.as_dict() if report.params is not None else None,
-        "checks": [
-            {
-                "name": c.name,
-                "anchor": c.anchor,
-                "passed": c.passed,
-                "margin": _json_num(c.margin),
-                "at": _json_num(c.at),
-                "cause": c.cause,
-            }
-            for c in report.checks
-        ],
+        "checks": [{**{key: getattr(c, key) for key in _CHECK_KEYS},
+                    "margin": _json_num(c.margin), "at": _json_num(c.at)}
+                   for c in report.checks],
         "overall": "pass" if report.overall else "fail",
     }
 

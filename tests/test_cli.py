@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ricci_forge import cli
-from ricci_forge.cli import CSV_BLOCK_ROWS, MIN_GRID, _atomic_write, _csv, run
+from ricci_forge.cli import (
+    CSV_BLOCK_ROWS, MIN_GRID, RunConfig, _atomic_write, _csv, run)
 from ricci_forge.grids import GridSpec
 from ricci_forge.verify import report_to_json, run_verification
 
@@ -138,6 +140,38 @@ def test_config_file_merging(tmp_path):
     code = run(["--config", str(cfg), "--set",
                 "zeta=4.438378457650197", "--quiet"])
     assert code == 0
+
+
+# each RunConfig field: a --config value, a flag and the value it sets
+PRECEDENCE = {
+    "n": (4, ["--dim", "5"], 5),
+    "p": (2, ["--punctures", "3"], 3),
+    "overrides": ({"R0": 0.05, "mu": 1e-9}, ["--set", "mu=1e-8"],
+                  {"R0": 0.05, "mu": 1e-8}),
+    "grid_points": (500, ["--grid", "600"], 600),
+    "out_report": ("c.json", ["--out", "f.json"], "f.json"),
+    "out_profile_csv": ("c.csv", ["--profile-csv", "f.csv"], "f.csv"),
+    "out_curvature_csv": ("c.csv", ["--curvature-csv", "f.csv"], "f.csv"),
+    "out_boundary_csv": ("c.csv", ["--boundary-csv", "f.csv"], "f.csv"),
+    "verbosity": ("verbose", ["--quiet"], "quiet"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_flag_wins_over_config_field_by_field(tmp_path, name):
+    config_value, flag, flag_value = PRECEDENCE[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 3, "p": 1, name: config_value}))
+
+    def merged(*argv):
+        args = cli._build_parser().parse_args(["--config", str(path), *argv])
+        return getattr(cli._merge_config(args), name)
+
+    assert merged() == config_value
+    assert merged(*flag) == flag_value
+    if name.startswith("out_"):
+        # an empty path keeps the config's
+        assert merged(flag[0], "") == config_value
 
 
 def test_config_unknown_key_is_usage_error(tmp_path):

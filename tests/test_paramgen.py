@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -149,6 +150,27 @@ def test_slope_budgets_name_their_lemma(budget, consts, clause):
     with pytest.raises(ConfigurationError) as err:
         budget(consts)
     assert err.value.clause == clause
+
+
+def test_slope_budgets_cached_per_cascade(params33):
+    p = params33
+    paramgen._slope_budgets.cache_clear()
+    try:
+        # every p <= 46 shares the default cascade
+        for n, punctures in ((3, 3), (5, 1), (13, 10)):
+            assert select_params(n, punctures) == replace(p, n=n, p=punctures)
+        assert paramgen._slope_budgets.cache_info()[1:] == (1, 64, 1)
+        consts = {"r0": p.r0, "zeta": p.zeta, "kappa": p.kappa, "psi": p.psi}
+        iota = compute_iota(consts)
+        assert (p.iota, p.mu0) == (iota, compute_mu0(consts, iota))
+        # r0^4/zeta underflows to 0: no slope margin, and no cache entry
+        for _ in range(2):
+            with pytest.raises(CertificationError) as err:
+                paramgen._slope_budgets(1e-80, 4.5, 4.0, 1e-90, 100)
+            assert err.value.check == "Lemma 2.11"
+        assert paramgen._slope_budgets.cache_info().currsize == 1
+    finally:
+        paramgen._slope_budgets.cache_clear()
 
 
 def test_lemma_catalogue_feeds_check_table_and_cascade(params33):

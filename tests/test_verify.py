@@ -16,8 +16,8 @@ from ricci_forge import (
     run_verification,
     verify,
 )
-from ricci_forge.paramgen import _threshold_scan
-from ricci_forge.cli import _boundary_csv, _curvature_csv, _profile_csv
+from ricci_forge import cli
+from ricci_forge.paramgen import _slope_budgets, _threshold_scan
 from ricci_forge.profile import validate_smooth
 from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, STRICT_FLOOR
 from test_acceptance import NS, PS
@@ -178,11 +178,11 @@ def test_many_punctures_run_passes(report_cache):
 def _clear_caches():
     verify._profile_stage.cache_clear()
     _threshold_scan.cache_clear()
+    _slope_budgets.cache_clear()
 
 
 def _csv_texts(report):
-    return tuple("".join(dump(report))
-                 for dump in (_profile_csv, _curvature_csv, _boundary_csv))
+    return tuple("".join(cli._render(dump, report)) for dump in cli.DUMPS)
 
 
 @pytest.fixture
