@@ -21,8 +21,6 @@ from .grids import GridSpec
 from .paramgen import (
     LemmaId,
     ParamSet,
-    compute_iota,
-    compute_mu0,
     lemma_bound_eval,
     select_params,
     threshold_scan,
@@ -51,8 +49,8 @@ __all__ = [
     "intrinsic_sectional", "principal_curvatures", "ricci_components",
     "CertificationError", "ConfigurationError", "DomainError", "RicciForgeError",
     "GridSpec",
-    "LemmaId", "ParamSet", "compute_iota", "compute_mu0", "lemma_bound_eval",
-    "select_params", "threshold_scan",
+    "LemmaId", "ParamSet", "lemma_bound_eval", "select_params",
+    "threshold_scan",
     "BridgeTheta", "ProfileC1", "build_bridge_theta",
     "CHECK_NAMES", "CheckResult", "VerificationReport", "gauss_crosscheck",
     "report_to_dict", "report_to_json", "run_verification",

@@ -81,10 +81,9 @@ def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> Boundary
     d2[inner] = (vp - 2.0 * vals[inner] + vm) / h**2
     # The near pole by the chain rule on the profile's jet at t = 0: in the
     # unrescaled arc length t has slope 1 and curvature 0 there, so B' = R'(0)
-    # and B'' = tan(r0) R''(0); + 0.0 as the inner piece's R''(0) is -0.0,
-    # which the CSV would print as -0.
+    # and B'' = tan(r0) R''(0).
     _, r1, r2 = profile.jet(0.0)
-    d1[0], d2[0] = r1, math.tan(r0) * r2 + 0.0
+    d1[0], d2[0] = r1, math.tan(r0) * r2
     # The boundary is symmetric about its apex, so the far pole is the near
     # one mirrored; a stencil there would read sin(pi) != 0 in floats.
     vals[-1], d1[-1], d2[-1] = vals[0], -d1[0], d2[0]

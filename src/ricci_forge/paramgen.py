@@ -200,28 +200,28 @@ def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
     return SAFETY * root
 
 
-# tan(t) and tan(t + r0^4/zeta) on the grid of [r0^2/kappa, r0] that both
-# slope budgets are taken on
-def _tangents(r0: float, zeta: float, kappa: float, points: int):
-    ts = np.linspace(r0**2 / kappa, r0, points)
-    return np.tan(ts), np.tan(ts + r0**4 / zeta)
-
-
-def _iota(tan_t, tan_shifted) -> float:
+# Every (n, p) of one cascade has the same (iota, mu0): keep only the two
+# floats. Errors are not cached.
+@lru_cache(maxsize=64)
+def _slope_budgets(r0: float, zeta: float, kappa: float,
+                   psi: float) -> tuple[float, float]:
+    """``(iota, mu0)``: the safety-discounted minimum of
+    1 - tan(t)/tan(t + r0^4/zeta) (Lemma 2.11) and the smoothing budget, the
+    least of psi, iota/tan(r0) and the Lemma 2.12(iii)/(iv) bounds, both over
+    the scan grid of [r0^2/kappa, r0]; each minimum must be positive."""
+    ts = np.linspace(r0**2 / kappa, r0, SCAN_POINTS)
+    tan_t, tan_shifted = np.tan(ts), np.tan(ts + r0**4 / zeta)
     m = float(np.min(1.0 - tan_t / tan_shifted))
     if m <= 0.0:
         raise CertificationError(
             f"slope-ratio margin non-positive (min {m!r}); contradicts Lemma 2.11",
             check="Lemma 2.11",
         )
-    return SAFETY * m
+    iota = SAFETY * m
 
-
-def _mu0(r0: float, psi: float, iota: float, tan_t, tan_shifted) -> float:
     cot = 1.0 / tan_t
     cot_shifted = 1.0 / tan_shifted
     cot_r0_sq = 1.0 / math.tan(r0) ** 2
-
     bound_iii = float(np.min((cot - cot_shifted) / (1.0 + cot)))
     if bound_iii <= 0.0:
         raise CertificationError(
@@ -235,32 +235,7 @@ def _mu0(r0: float, psi: float, iota: float, tan_t, tan_shifted) -> float:
             f"Lemma 2.12(iv) bound non-positive (min {bound_iv!r})",
             check="Lemma 2.12(iv)",
         )
-    return SAFETY * min(psi, iota / math.tan(r0), bound_iii, bound_iv)
-
-
-def compute_iota(consts, points: int = 10_000) -> float:
-    """Safety-discounted minimum of 1 - tan(t)/tan(t + r0^4/zeta) over
-    [r0^2/kappa, r0]; must be positive."""
-    r0, zeta, kappa = (_const(consts, k, "Lemma 2.11") for k in ("r0", "zeta", "kappa"))
-    return _iota(*_tangents(r0, zeta, kappa, points))
-
-
-def compute_mu0(consts, iota: float, points: int = 10_000) -> float:
-    """Smoothing budget: safety-discounted minimum of the four admissibility
-    bounds of Lemma 2.12."""
-    r0, zeta, kappa, psi = (_const(consts, k, "Lemma 2.12")
-                            for k in ("r0", "zeta", "kappa", "psi"))
-    return _mu0(r0, psi, iota, *_tangents(r0, zeta, kappa, points))
-
-
-# Every (n, p) of one cascade has the same (iota, mu0): keep only the two
-# floats, from one grid. Errors are not cached.
-@lru_cache(maxsize=64)
-def _slope_budgets(r0: float, zeta: float, kappa: float, psi: float,
-                   points: int) -> tuple[float, float]:
-    tangents = _tangents(r0, zeta, kappa, points)
-    iota = _iota(*tangents)
-    return iota, _mu0(r0, psi, iota, *tangents)
+    return iota, SAFETY * min(psi, iota / math.tan(r0), bound_iii, bound_iv)
 
 
 def theta_boundary_values(R0: float, kappa: float, zeta: float, r0: float):
@@ -335,15 +310,19 @@ def _reject(message, clause):
     raise ConfigurationError(f"{message} ({clause})", clause=clause)
 
 
-def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
-                  points: int = 10_000) -> ParamSet:
+def select_params(n: int, p: int,
+                  overrides: Mapping[str, float] | None = None) -> ParamSet:
     """Select and validate the full constant cascade for dimension ``n`` and
     ``p`` removed discs. ``overrides`` may pin R0, kappa, zeta, Lambda, r0
     or mu; a pinned value violating its clause is rejected by name."""
-    if int(n) != n or n < 3:
-        _reject(f"n = {n!r} must be an integer >= 3", "Proposition 1.12 (n >= 3)")
-    if int(p) != p or p < 1:
-        _reject(f"p = {p!r} must be an integer >= 1", "Proposition 1.12 (p >= 1)")
+    for name, value, floor in (("n", n, 3), ("p", p, 1)):
+        try:
+            valid = int(value) == value and value >= floor
+        except (TypeError, ValueError, OverflowError):  # None, "abc", nan, inf
+            valid = False
+        if not valid:
+            _reject(f"{name} = {value!r} must be an integer >= {floor}",
+                    f"Proposition 1.12 ({name} >= {floor})")
     n, p = int(n), int(p)
     ov = dict(overrides or {})
     unknown = sorted(set(ov) - set(OVERRIDE_NAMES))
@@ -352,19 +331,25 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
             f"unknown override(s) {unknown}; valid names: {list(OVERRIDE_NAMES)}",
             clause="overrides",
         )
+    for name, value in ov.items():
+        try:
+            ov[name] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            _reject(f"override {name!r} needs a numeric value, got {value!r}",
+                    "overrides")
 
-    R0 = float(ov.get("R0", 0.1))
+    R0 = ov.get("R0", 0.1)
     if not 0.0 < R0 <= 0.1:
         _reject(f"R0 = {R0!r} outside (0, 1/10]", "Definition 2.1(a)")
 
     kappa_floor = 2.0 / math.sqrt(3.0 * R0)
-    kappa = float(ov.get("kappa", 1.1 * kappa_floor))
+    kappa = ov.get("kappa", 1.1 * kappa_floor)
     if not kappa > kappa_floor:
         _reject(f"kappa = {kappa!r} must exceed 2/sqrt(3*R0) = {kappa_floor!r}",
                 "Definition 2.1(b)")
 
     zeta_hi = 3.0 * R0 * kappa**3 / 4.0
-    zeta = float(ov.get("zeta", 0.5 * (kappa + zeta_hi)))
+    zeta = ov.get("zeta", 0.5 * (kappa + zeta_hi))
     if not (kappa < zeta < zeta_hi):
         _reject(f"zeta = {zeta!r} outside ({kappa!r}, {zeta_hi!r})",
                 "Definition 2.1(c)")
@@ -380,7 +365,7 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
 
     r0_cap = min(R0, math.pi / (2.0 * (1.0 + Lambda)), *c)
     r0_default = SAFETY * min(r0_cap, math.pi / p)
-    r0 = float(ov.get("r0", r0_default))
+    r0 = ov.get("r0", r0_default)
     if not 0.0 < r0 < r0_cap:
         _reject(
             f"r0 = {r0!r} must lie in (0, {r0_cap!r}) = "
@@ -415,8 +400,8 @@ def select_params(n: int, p: int, overrides: Mapping[str, float] | None = None,
             check="Lemma 2.9 (psi selection)",
         )
 
-    iota, mu0 = _slope_budgets(r0, zeta, kappa, psi, points)
-    mu = float(ov.get("mu", mu0 / 2.0))
+    iota, mu0 = _slope_budgets(r0, zeta, kappa, psi)
+    mu = ov.get("mu", mu0 / 2.0)
     if not 0.0 < mu < mu0:
         _reject(f"mu = {mu!r} outside (0, mu0) with mu0 = {mu0!r}; "
                 "mu < mu0 is what keeps mu*tan(r0) below iota",

@@ -106,7 +106,8 @@ class ProfileC1:
         r0 = self.params.r0
         w = 2.0 * np.asarray(t, dtype=float) / r0
         s = np.sin(w)
-        return (r0 / 2.0) * s, np.cos(w), -(2.0 / r0) * s
+        # 0.0 - x rather than -x: R''(0) is +0.0, not -0.0
+        return (r0 / 2.0) * s, np.cos(w), 0.0 - (2.0 / r0) * s
 
     def bridge_jet(self, t):
         return tuple(base + th for base, th in

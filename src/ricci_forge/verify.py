@@ -272,14 +272,13 @@ def run_verification(n: int, p: int, overrides=None,
         results[name] = _result(name, margin, at, cause)
 
     try:
-        params = select_params(n, p, overrides, points=points)
+        params = select_params(n, p, overrides)
     except RicciForgeError as e:
         cause = _error_text(e)
         emit("parameter_invariants", None, None, cause)
         return _assemble(None, results, artifacts,
                          f"parameter cascade failed ({cause})")
 
-    artifacts["params"] = params
     emit("parameter_invariants", _param_slacks(params), None)
 
     for lemma_id, lemma in LEMMAS.items():

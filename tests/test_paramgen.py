@@ -10,8 +10,6 @@ from ricci_forge import (
     ConfigurationError,
     DomainError,
     LemmaId,
-    compute_iota,
-    compute_mu0,
     lemma_bound_eval,
     select_params,
     threshold_scan,
@@ -141,15 +139,10 @@ def test_threshold_scans_shared_across_n_and_p():
         paramgen._threshold_scan.cache_clear()
 
 
-@pytest.mark.parametrize("budget, consts, clause", [
-    (compute_iota, {"r0": 0.05, "kappa": 4.0}, "Lemma 2.11"),
-    (lambda c: compute_mu0(c, 1e-5),
-     {"r0": 0.05, "kappa": 4.0, "zeta": 4.5}, "Lemma 2.12"),
-])
-def test_slope_budgets_name_their_lemma(budget, consts, clause):
-    with pytest.raises(ConfigurationError) as err:
-        budget(consts)
-    assert err.value.clause == clause
+def _budgets(p, **changes):
+    """``(iota, mu0)`` of the cascade ``p`` with some constants replaced."""
+    p = replace(p, **changes)
+    return paramgen._slope_budgets(p.r0, p.zeta, p.kappa, p.psi)
 
 
 def test_slope_budgets_cached_per_cascade(params33):
@@ -160,13 +153,13 @@ def test_slope_budgets_cached_per_cascade(params33):
         for n, punctures in ((3, 3), (5, 1), (13, 10)):
             assert select_params(n, punctures) == replace(p, n=n, p=punctures)
         assert paramgen._slope_budgets.cache_info()[1:] == (1, 64, 1)
-        consts = {"r0": p.r0, "zeta": p.zeta, "kappa": p.kappa, "psi": p.psi}
-        iota = compute_iota(consts)
-        assert (p.iota, p.mu0) == (iota, compute_mu0(consts, iota))
+        # the cached floats are those of a fresh evaluation
+        fresh = paramgen._slope_budgets.__wrapped__(p.r0, p.zeta, p.kappa, p.psi)
+        assert fresh == (p.iota, p.mu0)
         # r0^4/zeta underflows to 0: no slope margin, and no cache entry
         for _ in range(2):
             with pytest.raises(CertificationError) as err:
-                paramgen._slope_budgets(1e-80, 4.5, 4.0, 1e-90, 100)
+                paramgen._slope_budgets(1e-80, 4.5, 4.0, 1e-90)
             assert err.value.check == "Lemma 2.11"
         assert paramgen._slope_budgets.cache_info().currsize == 1
     finally:
@@ -190,8 +183,7 @@ def test_lemma_catalogue_feeds_check_table_and_cascade(params33):
 
 def test_compute_iota_positive_and_matches_dense_rescan(params33):
     p = params33
-    consts = {"r0": p.r0, "zeta": p.zeta, "kappa": p.kappa}
-    iota = compute_iota(consts)
+    iota, _ = _budgets(p)
     assert iota > 0.0
     ts = np.linspace(p.t_cut, p.r0, 100_001)
     dense = SAFETY * float(np.min(1.0 - np.tan(ts) / np.tan(ts + p.shift)))
@@ -201,21 +193,19 @@ def test_compute_iota_positive_and_matches_dense_rescan(params33):
 
 
 def test_compute_iota_tiny_radius():
-    iota = compute_iota({"r0": 1e-4, "zeta": 4.5, "kappa": 4.0})
-    assert iota > 0.0
+    iota, mu0 = paramgen._slope_budgets(1e-4, 4.5, 4.0, 1e-4**2 / 8.0)
+    assert iota > 0.0 and mu0 > 0.0
 
 
 def test_compute_iota_shrinks_as_zeta_grows(params33):
-    p = params33
-    small = compute_iota({"r0": p.r0, "zeta": p.zeta * 100, "kappa": p.kappa})
-    base = compute_iota({"r0": p.r0, "zeta": p.zeta, "kappa": p.kappa})
+    small, _ = _budgets(params33, zeta=params33.zeta * 100)
+    base, _ = _budgets(params33)
     assert small < base
 
 
 def test_compute_mu0_aposteriori(params33):
     p = params33
-    consts = {"r0": p.r0, "zeta": p.zeta, "kappa": p.kappa, "psi": p.psi}
-    mu0 = compute_mu0(consts, p.iota)
+    _, mu0 = _budgets(p)
     assert 0.0 < mu0 < p.psi
     assert mu0 * math.tan(p.r0) < p.iota
     # all four admissibility bounds hold at mu0 on a dense grid

@@ -196,6 +196,12 @@ def test_profile_pole_values(profile33):
     assert profile33.jet(0.0) == (0.0, 1.0, 0.0)
 
 
+def test_profile_second_derivative_at_pole_is_positive_zero(profile33):
+    # -0.0 == 0.0, but the CSV dumps would print it as -0
+    assert math.copysign(1.0, profile33.jet(0.0)[2]) == 1.0
+    assert math.copysign(1.0, profile33.jet(np.zeros(2))[2][0]) == 1.0
+
+
 def test_profile_outer_end_equals_squash(params33, profile33):
     # the taper is exhausted before pi/2, so the value there is exactly R0
     assert profile33.jet(T_MAX)[0] == params33.R0

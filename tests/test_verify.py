@@ -80,6 +80,44 @@ def test_skipped_checks_report_cause_not_omission(report_cache):
         assert c.cause == skip, c.name
 
 
+@pytest.mark.parametrize("n, p, overrides, clause, message", [
+    (math.nan, 3, None, "Proposition 1.12 (n >= 3)", "n = nan must be an integer >= 3"),
+    (math.inf, 3, None, "Proposition 1.12 (n >= 3)", "n = inf must be an integer >= 3"),
+    (3, math.inf, None, "Proposition 1.12 (p >= 1)", "p = inf must be an integer >= 1"),
+    (3, None, None, "Proposition 1.12 (p >= 1)", "p = None must be an integer >= 1"),
+    (3, 3, {"R0": None}, "overrides", "'R0' needs a numeric value, got None"),
+    (3, 3, {"R0": "abc"}, "overrides", "'R0' needs a numeric value, got 'abc'"),
+], ids=["n_nan", "n_inf", "p_inf", "p_none", "R0_none", "R0_text"])
+def test_malformed_input_fails_report_naming_clause(n, p, overrides, clause, message):
+    rep = run_verification(n, p, overrides)
+    pi = rep.check("parameter_invariants")
+    assert not rep.overall and not pi.passed
+    assert pi.cause.startswith(f"{clause}: ") and message in pi.cause
+    skip = f"skipped: parameter cascade failed ({pi.cause})"
+    assert all(c.cause == skip and c.margin is None for c in rep.checks[1:])
+    assert json.loads(report_to_json(rep))["params"] is None
+
+
+# The first three cascade_inputs(801) draws of perfbench/workloads.py.
+DRAWS = (
+    (9, 2, {"R0": 0.0552567236891138, "kappa": 6.022741319098202,
+            "zeta": 8.26770781459589}),
+    (7, 9, {"R0": 0.07482134834728418, "kappa": 6.277409295562714,
+            "zeta": 7.847210916649709}),
+    (13, 5, {"R0": 0.06045298420273381, "kappa": 7.13677585227541,
+             "zeta": 11.659543953825452}),
+)
+
+
+@pytest.mark.parametrize("n, p, overrides", [(3, 3, None), (11, 5, None), *DRAWS])
+def test_cascade_independent_of_grid(n, p, overrides):
+    cascades = {k: run_verification(n, p, overrides,
+                                    grid=GridSpec(points=k, lo=0.0, hi=1.0)).params
+                for k in (100, 2_000, 10_000, 20_000)}
+    assert cascades[10_000] is not None
+    assert all(c == cascades[10_000] for c in cascades.values()), cascades
+
+
 def test_gauss_crosscheck_round_hook(round_profile, params33):
     # both routes are constant for the round profile; the finite-difference
     # route agrees far inside the certification tolerance
