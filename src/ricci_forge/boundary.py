@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DomainError
+from .errors import DomainError
+from .grids import DEFAULT_POINTS
 from .paramgen import ParamSet
 
 FD_STEP_FACTOR = 1e-5
@@ -46,7 +47,7 @@ class BoundaryMetric:
 
     def rho_default(self) -> float:
         """Midpoint of the admissible interval, for reporting."""
-        return 0.5 * (self.rho_lo + min(self.omega, 0.5))
+        return 0.5 * sum(rho_interval(self))
 
 
 def _rescaled_warp(profile, r0):
@@ -61,7 +62,8 @@ def _rescaled_warp(profile, r0):
     return B
 
 
-def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> BoundaryMetric:
+def boundary_metric(profile, params: ParamSet,
+                    points: int = DEFAULT_POINTS) -> BoundaryMetric:
     """Sample the rescaled boundary warping at ``points`` arc-length values
     over its full pole-to-pole range and fill the closed-form waist, pole
     distance, and lower rho endpoint."""
@@ -99,16 +101,9 @@ def boundary_metric(profile, params: ParamSet, points: int = 10_000) -> Boundary
 
 def rho_interval(bm: BoundaryMetric):
     """Admissible interval for the gluing radius parameter: the lower end is
-    the waist power tau^((n-2)/(n-1)), the upper end min(omega, 1/2); its
-    non-emptiness is the arithmetic the final assembly rests on."""
+    the waist power tau^((n-2)/(n-1)), the upper end min(omega, 1/2). The
+    report judges its non-emptiness (``rho_interval_nonempty``), the
+    arithmetic the final assembly rests on."""
     if bm.n < 3:
         raise DomainError(f"n = {bm.n!r} must be >= 3")
-    lo = bm.rho_lo
-    hi = min(bm.omega, 0.5)
-    if not lo < hi:
-        raise CertificationError(
-            f"rho interval empty: ({lo!r}, {hi!r}); contradicts the "
-            "Proposition 1.12 arithmetic for valid parameters",
-            check="Proposition 1.12 (rho interval)",
-        )
-    return lo, hi
+    return bm.rho_lo, min(bm.omega, 0.5)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RicciForgeError
 from .fmt17 import render_block
-from .grids import GridSpec
+from .grids import DEFAULT_POINTS, T_MAX, GridSpec
 from .paramgen import OVERRIDE_NAMES
 from .verify import report_to_json, run_verification
 
@@ -34,7 +34,7 @@ class RunConfig:
     n: int = None
     p: int = None
     overrides: dict = field(default_factory=dict)
-    grid_points: int = 10_000
+    grid_points: int = DEFAULT_POINTS
     out_report: str = None
     out_profile_csv: str = None
     out_curvature_csv: str = None
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--punctures", dest="p", type=int, metavar="PUNCTURES",
                     help="number of removed discs p (>= 1)")
     ap.add_argument("--grid", dest="grid_points", type=int, metavar="GRID",
-                    help="grid resolution (default 10000)")
+                    help=f"grid resolution (default {DEFAULT_POINTS})")
     ap.add_argument("--set", dest="overrides", action="append", default=[],
                     metavar="NAME=VALUE",
                     help="pin a constant (repeatable); names: "
@@ -324,7 +324,7 @@ def run(argv) -> int:
     try:
         report = run_verification(
             cfg.n, cfg.p, cfg.overrides or None,
-            grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=math.pi / 2),
+            grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=T_MAX),
         )
     except RicciForgeError as e:
         # run_verification converts expected failures into failing reports;

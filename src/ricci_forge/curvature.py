@@ -17,8 +17,8 @@ import numpy as np
 
 from .bumps import _as_array, _wrap
 from .errors import DomainError
+from .grids import T_MAX
 
-T_MAX = math.pi / 2
 POLE_EPS = 1e-12
 
 

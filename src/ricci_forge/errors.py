@@ -2,14 +2,11 @@
 
 
 class RicciForgeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class ConfigurationError(RicciForgeError):
-    """Invalid input, override, or missing constant.
-
-    ``clause`` names the violated selection rule (e.g. "Definition 2.1(c)")
-    so that callers and reports can point at the exact clause.
+    ``clause`` names the violated clause or selection rule (e.g.
+    "Definition 2.1(c)" or "Lemma 2.11") so that callers and reports can
+    point at it.
     """
 
     def __init__(self, message, clause=None):
@@ -17,17 +14,12 @@ class ConfigurationError(RicciForgeError):
         self.clause = clause
 
 
+class ConfigurationError(RicciForgeError):
+    """Invalid input, override, or missing constant."""
+
+
 class CertificationError(RicciForgeError):
-    """A required inequality or construction step failed numerically.
-
-    ``check`` carries the label of the failing clause; ``margins`` may carry
-    the margins computed before the failure was detected.
-    """
-
-    def __init__(self, message, check=None, margins=None):
-        super().__init__(message)
-        self.check = check
-        self.margins = dict(margins) if margins else {}
+    """A required inequality or construction step failed numerically."""
 
 
 class DomainError(RicciForgeError, ValueError):

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+# points of each certification grid unless the caller sets them (--grid)
+DEFAULT_POINTS = 10_000
+# end of the profile's domain [0, pi/2]
+T_MAX = math.pi / 2
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def _threshold_scan(lemma_id: LemmaId, values: tuple) -> float:
         raise CertificationError(
             f"{lemma.anchor} fails arbitrarily close to 0 "
             f"(margin {float(margins[0])!r} at x = {float(xs[0])!r})",
-            check=lemma.anchor,
+            clause=lemma.anchor,
         )
     root = _bisect(lambda v: float(lemma_margin(lemma_id, v, consts)),
                    float(xs[first - 1]), float(xs[first]))
@@ -215,7 +215,7 @@ def _slope_budgets(r0: float, zeta: float, kappa: float,
     if m <= 0.0:
         raise CertificationError(
             f"slope-ratio margin non-positive (min {m!r}); contradicts Lemma 2.11",
-            check="Lemma 2.11",
+            clause="Lemma 2.11",
         )
     iota = SAFETY * m
 
@@ -226,14 +226,14 @@ def _slope_budgets(r0: float, zeta: float, kappa: float,
     if bound_iii <= 0.0:
         raise CertificationError(
             f"Lemma 2.12(iii) bound non-positive (min {bound_iii!r})",
-            check="Lemma 2.12(iii)",
+            clause="Lemma 2.12(iii)",
         )
     numer_iv = cot_shifted * (1.0 + cot_r0_sq) * tan_t - cot_r0_sq
     bound_iv = float(np.min(numer_iv / (math.tan(r0) * (1.0 + cot_r0_sq))))
     if bound_iv <= 0.0:
         raise CertificationError(
             f"Lemma 2.12(iv) bound non-positive (min {bound_iv!r})",
-            check="Lemma 2.12(iv)",
+            clause="Lemma 2.12(iv)",
         )
     return iota, SAFETY * min(psi, iota / math.tan(r0), bound_iii, bound_iv)
 
@@ -348,7 +348,11 @@ def select_params(n: int, p: int,
         _reject(f"kappa = {kappa!r} must exceed 2/sqrt(3*R0) = {kappa_floor!r}",
                 "Definition 2.1(b)")
 
-    zeta_hi = 3.0 * R0 * kappa**3 / 4.0
+    try:
+        zeta_hi = 3.0 * R0 * kappa**3 / 4.0
+    except OverflowError:  # a float power past the range raises, not inf
+        _reject(f"zeta's upper bound 3*R0*kappa^3/4 overflows at kappa = {kappa!r}",
+                "Definition 2.1(c)")
     zeta = ov.get("zeta", 0.5 * (kappa + zeta_hi))
     if not (kappa < zeta < zeta_hi):
         _reject(f"zeta = {zeta!r} outside ({kappa!r}, {zeta_hi!r})",
@@ -384,7 +388,7 @@ def select_params(n: int, p: int,
     if margin0 <= 0.0:
         raise CertificationError(
             f"chord-slope inequality fails even as psi -> 0 (margin {margin0!r})",
-            check="Lemma 2.6(iii) at x = r0",
+            clause="Lemma 2.6(iii) at x = r0",
         )
     psi = None
     for k in range(1, PSI_MAX_HALVINGS + 1):
@@ -397,7 +401,7 @@ def select_params(n: int, p: int,
         raise CertificationError(
             f"no dyadic fraction of r0^2/kappa satisfies the chord-slope "
             f"inequality with relative margin {PSI_RELATIVE_MARGIN}",
-            check="Lemma 2.9 (psi selection)",
+            clause="Lemma 2.9 (psi selection)",
         )
 
     iota, mu0 = _slope_budgets(r0, zeta, kappa, psi)

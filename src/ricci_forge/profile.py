@@ -9,14 +9,13 @@ junction clauses (Lemmas 2.9/2.10) and of the smoothing clauses (Lemma
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bumps import BumpFunction, _as_array, _wrap
 from .errors import CertificationError, ConfigurationError, DomainError
-from .grids import open_grid
+from .grids import DEFAULT_POINTS, T_MAX, open_grid
 from .paramgen import ParamSet, star_margin, theta_boundary_values
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "validate_c1", "validate_smooth",
 ]
 
-T_MAX = math.pi / 2
 DOMAIN_PAD = 1e-3  # finite-difference probes may step slightly past pi/2
 JOIN_TOL = 1e-9
 
@@ -82,7 +80,7 @@ def build_bridge_theta(params: ParamSet) -> BridgeTheta:
         raise CertificationError(
             f"bridge exponent q = {q!r} not positive; chord-slope margin "
             f"{star_margin(params.R0, params.kappa, params.zeta, params.r0, params.psi)!r}",
-            check="Lemma 2.9 (*)",
+            clause="Lemma 2.9 (*)",
         )
     return BridgeTheta(psi=params.psi, b=b, theta_b=theta_b,
                        dtheta_b=dtheta_b, q=q)
@@ -161,7 +159,7 @@ def _min_at(ts, vals):
     return float(vals[i]), float(ts[i])
 
 
-def validate_c1(profile: ProfileC1, points: int = 10_000) -> dict:
+def validate_c1(profile: ProfileC1, points: int = DEFAULT_POINTS) -> dict:
     """Margins for the C1-profile clauses; every entry is (margin, at)."""
     p = profile.params
     psi, b = p.psi, p.t_cut
@@ -199,7 +197,8 @@ def _mask_out(ts, spans):
 _WINDOW_POINTS = 1_000
 
 
-def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict:
+def validate_smooth(profile: ProfileC1, mu: float,
+                    points: int = DEFAULT_POINTS) -> dict:
     """Margins for the smoothing clauses of Lemma 2.13 and Corollary 2.14;
     every entry is (margin, at).
 
@@ -208,9 +207,8 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
     enough to keep every clause converges to the C1 profile itself (the
     correction vanishes to double resolution), so the clauses are certified
     on ``profile``, on grids outside the windows and inside them (on a tie
-    the outside point is reported). Raises CertificationError naming the
-    worst failing clause when any margin fails (``profile_le_sin`` needs
-    >= 0, every other clause > 0).
+    the outside point is reported). The margins are measured, not judged:
+    the report decides which clause passes.
     """
     p = profile.params
     if not 0.0 < mu < p.mu0:
@@ -269,13 +267,4 @@ def validate_smooth(profile: ProfileC1, mu: float, points: int = 10_000) -> dict
             lambda ts: np.sin(ts) - profile.jet(ts)[0],
             outside(np.linspace(0.0, r0, points))),
     }
-    failed = [name for name, (m, _) in margins.items()
-              if not (m >= 0.0 if name == "profile_le_sin" else m > 0.0)]
-    if failed:
-        worst = min(failed, key=lambda k: margins[k][0])
-        raise CertificationError(
-            f"smoothing clauses fail; worst clause {worst} with margin "
-            f"{margins[worst][0]!r} at t = {margins[worst][1]!r}",
-            check=worst, margins=margins,
-        )
     return margins

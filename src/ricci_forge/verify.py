@@ -23,8 +23,8 @@ import numpy as np
 from .boundary import boundary_metric, rho_interval, t_of_s
 from .bumps import BumpFunction
 from .curvature import curvature_grid, intrinsic_sectional
-from .errors import CertificationError, RicciForgeError
-from .grids import GridSpec, open_grid
+from .errors import RicciForgeError
+from .grids import DEFAULT_POINTS, T_MAX, GridSpec, open_grid
 from .paramgen import (
     LEMMAS,
     STRICT_FLOOR,
@@ -37,7 +37,6 @@ from .paramgen import (
 from .profile import ProfileC1, build_bridge_theta, validate_c1, validate_smooth
 
 SCHEMA = "ricci-forge/1"
-DEFAULT_POINTS = 10_000
 RICCI_EPS = 1e-6
 GAUSS_TOL = 1e-4
 ANGLE_TOL = 1e-8
@@ -116,10 +115,12 @@ def _passes(kind: str, margin: float) -> bool:
 
 def _result(name: str, margin: float | None, at: float | None,
             cause: str | None = None) -> CheckResult:
+    """The check's result; a passing check never carries a cause."""
     if margin is None or not math.isfinite(margin):
         return CheckResult(name, _ANCHORS[name], False, None, at, cause)
-    return CheckResult(name, _ANCHORS[name], _passes(_KINDS[name], margin),
-                       float(margin), at, cause)
+    passed = _passes(_KINDS[name], margin)
+    return CheckResult(name, _ANCHORS[name], passed, float(margin), at,
+                       None if passed else cause)
 
 
 def _margin_results(margins, cause: str | None = None) -> dict:
@@ -229,9 +230,8 @@ def _angle_identity_check(r0: float, points: int) -> CheckResult:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def _error_text(e: Exception) -> str:
-    clause = getattr(e, "clause", None) or getattr(e, "check", None)
-    return f"{clause}: {e}" if clause else str(e)
+def _error_text(e: RicciForgeError) -> str:
+    return f"{e.clause}: {e}" if e.clause else str(e)
 
 
 @lru_cache(maxsize=8)
@@ -242,18 +242,12 @@ def _profile_stage(cascade: ParamSet, points: int):
     The profile does not depend on n or p, so ``cascade`` has both set to
     None and every (n, p) with the same other constants shares one entry;
     its margin tables are read-only because every such caller gets them.
-    Errors are not cached. A smoothing-clause failure carries the C1 margins
-    found before it as ``c1_margins``.
+    Only a bridge that cannot be built raises, and that is not cached; the
+    tables are measured, not judged, so one whose clauses fail is kept.
     """
-    bridge = build_bridge_theta(cascade)
-    profile = ProfileC1(params=cascade, bridge=bridge)
-    c1_margins = MappingProxyType(validate_c1(profile, points))
-    try:
-        smooth_margins = validate_smooth(profile, cascade.mu, points=points)
-    except RicciForgeError as e:
-        e.c1_margins = c1_margins
-        raise
-    return profile, c1_margins, MappingProxyType(smooth_margins)
+    profile = ProfileC1(params=cascade, bridge=build_bridge_theta(cascade))
+    return (profile, MappingProxyType(validate_c1(profile, points)),
+            MappingProxyType(validate_smooth(profile, cascade.mu, points=points)))
 
 
 def run_verification(n: int, p: int, overrides=None,
@@ -296,19 +290,27 @@ def run_verification(n: int, p: int, overrides=None,
         profile, c1_margins, smooth_margins = _profile_stage(
             replace(params, n=None, p=None), points)
     except RicciForgeError as e:
-        cause = _error_text(e)
-        results.update(_margin_results(getattr(e, "c1_margins", {})))
-        results.update(_margin_results(getattr(e, "margins", {}), cause))
+        return _assemble(params, results, artifacts,
+                         f"profile construction failed ({_error_text(e)})")
+    results.update(_margin_results(c1_margins))
+    # profile_le_sin, the one entry that is not a check, needs >= 0
+    failed = [name for name, (m, _) in smooth_margins.items()
+              if not _passes(_KINDS.get(name, NONNEG), m)]
+    if failed:
+        worst = min(failed, key=lambda name: smooth_margins[name][0])
+        m, at = smooth_margins[worst]
+        cause = (f"{worst}: smoothing clauses fail; worst clause {worst} "
+                 f"with margin {m!r} at t = {at!r}")
+        results.update(_margin_results(smooth_margins, cause))
         return _assemble(params, results, artifacts,
                          f"profile construction failed ({cause})")
-    results.update(_margin_results(c1_margins))
     results.update(_margin_results(smooth_margins))
     artifacts["profile"] = profile
 
     # curvature checks on the union of the interior grid and the boundary grid
     r0 = params.r0
     t_curv = np.unique(np.concatenate([
-        np.linspace(RICCI_EPS, math.pi / 2, points),
+        np.linspace(RICCI_EPS, T_MAX, points),
         np.linspace(0.0, r0, points),
     ]))
     curv = curvature_grid(profile, params.n, r0, t_curv)
@@ -336,12 +338,9 @@ def run_verification(n: int, p: int, overrides=None,
     artifacts["boundary"] = bm
     emit("tau_below_r0", params.R0 - bm.tau, None)
     emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
-    try:
-        lo, hi = rho_interval(bm)
-        emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
-        artifacts["rho"] = (lo, hi)
-    except CertificationError as e:
-        emit("rho_interval_nonempty", None, None, _error_text(e))
+    lo, hi = rho_interval(bm)
+    emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
+    artifacts["rho"] = (lo, hi)
 
     return _assemble(params, results, artifacts)
 

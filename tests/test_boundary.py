@@ -5,7 +5,6 @@ import pytest
 
 from ricci_forge import (
     BoundaryMetric,
-    CertificationError,
     DomainError,
     boundary_metric,
     rho_interval,
@@ -117,11 +116,12 @@ def test_rho_chain_links(params33, bm33):
     assert all(a >= b for a, b in zip(los, los[1:]))
 
 
-def test_rho_interval_empty_raises():
+def test_rho_interval_empty_is_returned():
+    # rho_interval measures; the report judges emptiness (rho_interval_nonempty)
     fake = BoundaryMetric(r0=0.06, n=3, omega=0.5, tau=0.9,
                           samples=np.zeros((4, 4)), rho_lo=0.9486)
-    with pytest.raises(CertificationError):
-        rho_interval(fake)
+    assert rho_interval(fake) == (0.9486, 0.5)
+    assert fake.rho_default() == 0.5 * (0.9486 + 0.5)
 
 
 def test_boundary_metric_rho_fields(params33, bm33):

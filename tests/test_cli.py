@@ -62,6 +62,17 @@ def test_invalid_override_value_fails_certification(tmp_path):
     assert any("2.1(c)" in c for c in causes)
 
 
+def test_kappa_overflow_writes_failing_report(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run(["--dim", "3", "--punctures", "3", "--set", "kappa=1e150",
+                "--out", str(out), "--quiet"])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["overall"] == "fail"
+    assert "Definition 2.1(c)" in report["checks"][0]["cause"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_tiny_mu_writes_failing_report(tmp_path):
     # Lemma 2.13(c) is certified at margin exactly mu, so the cascade rejects
     # a mu at or below the strict floor by name instead of certifying it

@@ -160,7 +160,7 @@ def test_slope_budgets_cached_per_cascade(params33):
         for _ in range(2):
             with pytest.raises(CertificationError) as err:
                 paramgen._slope_budgets(1e-80, 4.5, 4.0, 1e-90)
-            assert err.value.check == "Lemma 2.11"
+            assert err.value.clause == "Lemma 2.11"
         assert paramgen._slope_budgets.cache_info().currsize == 1
     finally:
         paramgen._slope_budgets.cache_clear()

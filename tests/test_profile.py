@@ -9,6 +9,8 @@ from ricci_forge import (
     ConfigurationError,
     DomainError,
     build_gamma,
+    run_verification,
+    verify,
 )
 from ricci_forge.bumps import step_derivative_sups, step_jet
 from ricci_forge.profile import BridgeTheta, ProfileC1, validate_c1, validate_smooth
@@ -185,7 +187,7 @@ def test_bridge_requires_chord_slope_inequality(params33):
     bad = dataclasses.replace(params33, psi=0.9 * params33.t_cut)
     with pytest.raises(CertificationError) as err:
         build_bridge_theta(bad)
-    assert "2.9" in err.value.check
+    assert "2.9" in err.value.clause
 
 
 # ---------------------------------------------------------------------------
@@ -345,30 +347,39 @@ class _QuarterCurvature(ProfileC1):
         return R, R1, 0.25 * R2
 
 
-def test_smooth_clause_failure_names_worst_clause(params33, bridge33):
-    profile = _QuarterCurvature(params=params33, bridge=bridge33)
-    with pytest.raises(CertificationError) as err:
-        validate_smooth(profile, params33.mu)
-    assert err.value.check == "lemma_2_13_a"
-    assert err.value.margins["lemma_2_13_a"][0] == pytest.approx(
-        -1.0 / params33.r0**2, rel=1e-9)
-    assert "worst clause lemma_2_13_a" in str(err.value)
+@pytest.fixture
+def quarter_report(monkeypatch):
+    """``run_verification(3, 3)`` with the profile stage building
+    ``_QuarterCurvature``; the stage's cache is emptied before and after."""
+    verify._profile_stage.cache_clear()
+    monkeypatch.setattr(verify, "ProfileC1", _QuarterCurvature)
+    yield run_verification(3, 3)
+    verify._profile_stage.cache_clear()
+
+
+def test_smooth_clause_failure_names_worst_clause(params33, quarter_report):
+    # validate_smooth only measures; the report names the worst failing clause
+    chk = quarter_report.check("lemma_2_13_a")
+    assert not chk.passed
+    assert chk.margin == pytest.approx(-1.0 / params33.r0**2, rel=1e-9)
+    assert chk.cause == (
+        "lemma_2_13_a: smoothing clauses fail; worst clause lemma_2_13_a "
+        f"with margin {chk.margin!r} at t = {chk.at!r}")
+    skip = f"skipped: profile construction failed ({chk.cause})"
+    assert quarter_report.check("ricci_tt_positive").cause == skip
 
 
 def test_lemma_2_15_margin_per_unit_t2_on_both_paths(params33, bridge33, profile33,
-                                                      report33):
+                                                      report33, quarter_report):
     # a failing smoothing stage reports the slope bound in the unit of a
     # passing report: per unit t^2
     reported = report33.check("lemma_2_15").margin
     assert validate_smooth(profile33, params33.mu)["lemma_2_15"][0] == reported
-    profile = _QuarterCurvature(params=params33, bridge=bridge33)
-    with pytest.raises(CertificationError) as err:
-        validate_smooth(profile, params33.mu)
-    margin, t = err.value.margins["lemma_2_15"]
-    R, R1, _ = profile.jet(t)
-    raw = 1.0 - (R1 / R) * math.tan(t)
-    assert margin == pytest.approx(raw / t**2, rel=1e-12)
-    assert margin == pytest.approx(reported, rel=1e-12)
+    chk = quarter_report.check("lemma_2_15")
+    R, R1, _ = _QuarterCurvature(params=params33, bridge=bridge33).jet(chk.at)
+    raw = 1.0 - (R1 / R) * math.tan(chk.at)
+    assert chk.margin == pytest.approx(raw / chk.at**2, rel=1e-12)
+    assert chk.margin == pytest.approx(reported, rel=1e-12)
 
 
 def test_smooth_concave_everywhere(profile33):

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from ricci_forge import (
     verify,
 )
 from ricci_forge import cli
-from ricci_forge.paramgen import _slope_budgets, _threshold_scan
+from ricci_forge.paramgen import OVERRIDE_NAMES, _slope_budgets, _threshold_scan
 from ricci_forge.profile import validate_smooth
 from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, STRICT_FLOOR
 from test_acceptance import NS, PS
@@ -87,7 +88,13 @@ def test_skipped_checks_report_cause_not_omission(report_cache):
     (3, None, None, "Proposition 1.12 (p >= 1)", "p = None must be an integer >= 1"),
     (3, 3, {"R0": None}, "overrides", "'R0' needs a numeric value, got None"),
     (3, 3, {"R0": "abc"}, "overrides", "'R0' needs a numeric value, got 'abc'"),
-], ids=["n_nan", "n_inf", "p_inf", "p_none", "R0_none", "R0_text"])
+    # kappa**3 past the float range raises OverflowError, not inf; a tiny R0
+    # gets such a kappa by default
+    (3, 3, {"kappa": 1e150}, "Definition 2.1(c)",
+     "3*R0*kappa^3/4 overflows at kappa = 1e+150"),
+    (3, 3, {"R0": 1e-300}, "Definition 2.1(c)", "3*R0*kappa^3/4 overflows at kappa = "),
+], ids=["n_nan", "n_inf", "p_inf", "p_none", "R0_none", "R0_text",
+        "kappa_overflow", "R0_tiny_overflow"])
 def test_malformed_input_fails_report_naming_clause(n, p, overrides, clause, message):
     rep = run_verification(n, p, overrides)
     pi = rep.check("parameter_invariants")
@@ -96,6 +103,17 @@ def test_malformed_input_fails_report_naming_clause(n, p, overrides, clause, mes
     skip = f"skipped: parameter cascade failed ({pi.cause})"
     assert all(c.cause == skip and c.margin is None for c in rep.checks[1:])
     assert json.loads(report_to_json(rep))["params"] is None
+
+
+EXTREMES = (0.0, -1.0, 1e-300, 1e-12, 1e150, 1e300, math.inf, -math.inf, math.nan)
+
+
+def test_extreme_overrides_give_reports():
+    for name in OVERRIDE_NAMES:
+        for value in EXTREMES:
+            rep = run_verification(3, 3, {name: value})
+            assert tuple(c.name for c in rep.checks) == CHECK_NAMES, (name, value)
+            json.loads(report_to_json(rep))
 
 
 # The first three cascade_inputs(801) draws of perfbench/workloads.py.
@@ -276,33 +294,91 @@ def test_profile_cache_misses_on_other_points_or_cascade(empty_profile_cache):
 def test_profile_stage_failure_is_not_cached(empty_profile_cache, monkeypatch):
     calls = []
 
-    def failing_smooth(profile, mu, points):
-        calls.append(points)
-        raise CertificationError("injected smoothing failure", check="lemma_2_13_c",
-                                 margins={"lemma_2_13_c": (-1.0, 0.5)})
+    def failing_bridge(cascade):
+        calls.append(cascade)
+        raise CertificationError("injected bridge failure", clause="Lemma 2.9 (*)")
 
-    monkeypatch.setattr(verify, "validate_smooth", failing_smooth)
+    monkeypatch.setattr(verify, "build_bridge_theta", failing_bridge)
     first = run_verification(3, 3)
     second = run_verification(3, 3)
     assert len(calls) == 2
     assert report_to_json(second) == report_to_json(first)
     assert not first.overall
-    chk = first.check("lemma_2_13_c")
-    assert chk.margin == -1.0 and "injected smoothing failure" in chk.cause
-    # the C1 margins found before the smoothing failed are still reported
-    assert first.check("c1_join_inner").passed
-    emitted = {*CHECK_NAMES[:CHECK_NAMES.index("lemma_2_13_a")],
-               "lemma_2_13_c", "r0_disjointness"}
-    skip = "skipped: profile construction failed (lemma_2_13_c: injected smoothing failure)"
+    emitted = {*CHECK_NAMES[:CHECK_NAMES.index("c1_join_inner")], "r0_disjointness"}
+    skip = "skipped: profile construction failed (Lemma 2.9 (*): injected bridge failure)"
     for c in first.checks:
-        if c.name not in emitted:
+        if c.name in emitted:
+            assert c.cause is None and c.passed, c.name
+        else:
             assert c.cause == skip, c.name
             assert c.margin is None and not c.passed
-        elif c.name != "lemma_2_13_c":
-            assert c.cause is None and c.passed, c.name
 
     monkeypatch.undo()
     assert run_verification(3, 3).overall
+
+
+@pytest.fixture
+def floor_table(empty_profile_cache, monkeypatch, profile33, params33):
+    """validate_smooth stubbed by the default table with lemma_2_13_c at
+    5e-13, inside the strict floor; returns the list of the stub's calls."""
+    table = dict(validate_smooth(profile33, params33.mu))
+    table["lemma_2_13_c"] = (5e-13, table["lemma_2_13_c"][1])
+    calls = []
+
+    def stub(profile, mu, points):
+        calls.append(points)
+        return table
+
+    monkeypatch.setattr(verify, "validate_smooth", stub)
+    return calls
+
+
+def test_smooth_clause_within_strict_floor_fails_stage(floor_table):
+    rep = run_verification(3, 3)
+    chk = rep.check("lemma_2_13_c")
+    assert not rep.overall and not chk.passed and chk.margin == 5e-13
+    assert chk.cause == ("lemma_2_13_c: smoothing clauses fail; worst clause "
+                         f"lemma_2_13_c with margin 5e-13 at t = {chk.at!r}")
+    emitted = {*CHECK_NAMES[:CHECK_NAMES.index("ricci_tt_positive")], "r0_disjointness"}
+    skip = f"skipped: profile construction failed ({chk.cause})"
+    for c in rep.checks:
+        if c.name not in emitted:
+            assert c.cause == skip and c.margin is None and not c.passed, c.name
+    assert "profile" not in rep.artifacts
+
+
+def test_only_failing_checks_carry_a_cause(floor_table):
+    rep = run_verification(3, 3)
+    assert rep.check("lemma_2_13_c").cause
+    for name in ("lemma_2_13_a", "lemma_2_13_b", "corollary_2_14_concavity",
+                 "corollary_2_14_ratio", "lemma_2_15"):
+        c = rep.check(name)
+        assert c.passed and c.cause is None, name
+    assert verify._result("lemma_2_10", 1.0, 0.5, "a cause").cause is None
+    assert verify._result("lemma_2_10", -1.0, 0.5, "a cause").cause == "a cause"
+
+
+def test_failing_smooth_table_is_cached(floor_table):
+    first = run_verification(3, 3)
+    second = run_verification(3, 3)
+    assert len(floor_table) == 1
+    assert report_to_json(second) == report_to_json(first)
+    assert not first.overall
+
+
+def test_empty_rho_interval_fails_with_its_margin(monkeypatch):
+    measure = verify.boundary_metric
+
+    def raised_lo(profile, params, points):
+        return replace(measure(profile, params, points), rho_lo=0.6)
+
+    monkeypatch.setattr(verify, "boundary_metric", raised_lo)
+    rep = run_verification(3, 3)
+    chk = rep.check("rho_interval_nonempty")
+    bm = rep.artifacts["boundary"]
+    assert rep.artifacts["rho"] == (0.6, 0.5) and bm.omega > 0.5
+    assert chk.margin == 0.5 - 0.6 and chk.cause is None
+    assert [c.name for c in rep.checks if not c.passed] == ["rho_interval_nonempty"]
 
 
 def test_profile_cache_stays_within_bound(empty_profile_cache, monkeypatch,
