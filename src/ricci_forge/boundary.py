@@ -17,9 +17,6 @@ from .errors import DomainError
 from .grids import DEFAULT_POINTS
 from .paramgen import ParamSet
 
-FD_STEP_FACTOR = 1e-5
-
-
 def t_of_s(r0: float, s):
     """Latitude of the boundary curve at unrescaled arc length s in
     [0, pi*sin(r0)]."""
@@ -50,16 +47,27 @@ class BoundaryMetric:
         return 0.5 * sum(rho_interval(self))
 
 
-def _rescaled_warp(profile, r0):
-    cot_r0 = 1.0 / math.tan(r0)
-    tan_r0 = math.tan(r0)
-    s_max = math.pi * math.sin(r0)
-
-    def B(s):
-        unrescaled = np.clip(np.asarray(s, dtype=float) * tan_r0, 0.0, s_max)
-        return cot_r0 * profile.jet(t_of_s(r0, unrescaled))[0]
-
-    return B
+def warp_jet(profile, r0: float, s):
+    """``(B, B', B'')`` of the rescaled boundary warping B = cot(r0) R(t) at
+    rescaled arc length s in [0, L], L = pi cos r0, from one profile jet. In
+    u = s tan r0, with sigma = u / sin r0, t = arcsin(sin r0 sin sigma) has
+    t' = cos sigma / cos t and t'' = sin sigma (sin r0 cos^2 sigma - cos^2 t
+    / sin r0) / cos^3 t, so B' = R' t' and B'' = tan r0 (R'' t'^2 + R' t'').
+    The far half is read at its mirror point L - s, with B' negated."""
+    sr, tan_r0 = math.sin(r0), math.tan(r0)
+    length = math.pi * math.cos(r0)
+    s = np.asarray(s, dtype=float)
+    far = s > 0.5 * length
+    u = np.where(far, length - s, s) * tan_r0
+    t = t_of_s(r0, u)
+    sigma = u / sr
+    cos_s, cos_t = np.cos(sigma), np.cos(t)
+    t1 = cos_s / cos_t
+    t2 = np.sin(sigma) * (sr * cos_s**2 - cos_t**2 / sr) / cos_t**3
+    R, R1, R2 = profile.jet(t)
+    B1 = R1 * t1
+    return ((1.0 / tan_r0) * R, np.where(far, -B1, B1),
+            tan_r0 * (R2 * t1**2 + R1 * t2))
 
 
 def boundary_metric(profile, params: ParamSet,
@@ -69,32 +77,12 @@ def boundary_metric(profile, params: ParamSet,
     distance, and lower rho endpoint."""
     r0, n = params.r0, params.n
     omega = math.cos(r0)
-    length = math.pi * omega
-    B = _rescaled_warp(profile, r0)
-    s = np.linspace(0.0, length, points)
-    h = FD_STEP_FACTOR * omega
-
-    vals = B(s)
-    d1 = np.empty_like(s)
-    d2 = np.empty_like(s)
-    inner = slice(1, -1)
-    vp, vm = B(s[inner] + h), B(s[inner] - h)
-    d1[inner] = (vp - vm) / (2.0 * h)
-    d2[inner] = (vp - 2.0 * vals[inner] + vm) / h**2
-    # The near pole by the chain rule on the profile's jet at t = 0: in the
-    # unrescaled arc length t has slope 1 and curvature 0 there, so B' = R'(0)
-    # and B'' = tan(r0) R''(0).
-    _, r1, r2 = profile.jet(0.0)
-    d1[0], d2[0] = r1, math.tan(r0) * r2
-    # The boundary is symmetric about its apex, so the far pole is the near
-    # one mirrored; a stencil there would read sin(pi) != 0 in floats.
-    vals[-1], d1[-1], d2[-1] = vals[0], -d1[0], d2[0]
-
+    s = np.linspace(0.0, math.pi * omega, points)
     tau = (1.0 / math.tan(r0)) * float(profile.jet(r0)[0])
     rho_lo = tau ** ((n - 2) / (n - 1))
     return BoundaryMetric(
         r0=r0, n=n, omega=omega, tau=tau,
-        samples=np.column_stack([s, vals, d1, d2]),
+        samples=np.column_stack([s, *warp_jet(profile, r0, s)]),
         rho_lo=rho_lo,
     )
 

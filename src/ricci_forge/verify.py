@@ -307,12 +307,14 @@ def run_verification(n: int, p: int, overrides=None,
     results.update(_margin_results(smooth_margins))
     artifacts["profile"] = profile
 
-    # curvature checks on the union of the interior grid and the boundary grid
+    # curvature checks on the union of the interior and boundary grids: a sort
+    # and a duplicate mask, as np.unique, which imports numpy.ma in numpy 2.4
     r0 = params.r0
-    t_curv = np.unique(np.concatenate([
+    t_curv = np.sort(np.concatenate([
         np.linspace(RICCI_EPS, T_MAX, points),
         np.linspace(0.0, r0, points),
     ]))
+    t_curv = t_curv[np.concatenate([[True], t_curv[1:] != t_curv[:-1]])]
     curv = curvature_grid(profile, params.n, r0, t_curv)
     artifacts["t_grid"] = t_curv
     artifacts["curvature"] = curv

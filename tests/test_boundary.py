@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from ricci_forge import (
     rho_interval,
     t_of_s,
 )
+from ricci_forge.boundary import warp_jet
 
 
 def _arc_length_oracle(r0, nodes=512):
@@ -87,6 +89,107 @@ def test_smooth_closure_at_poles(bm33):
     # the boundary is symmetric about its apex: the far pole is the near
     # pole mirrored, exactly
     assert (B[-1], d1[-1], d2[-1]) == (B[0], -d1[0], d2[0])
+
+
+class _JetCounter:
+    def __init__(self, profile):
+        self.profile, self.calls, self.points = profile, 0, 0
+
+    def jet(self, t):
+        self.calls += 1
+        self.points += np.size(t)
+        return self.profile.jet(t)
+
+
+def test_boundary_metric_reads_one_jet_per_sample(profile33, params33):
+    # one jet for the samples and one at r0 for the waist tau
+    counter = _JetCounter(profile33)
+    bm = boundary_metric(counter, params33, 1_000)
+    assert (counter.calls, counter.points) == (2, 1_001)
+    assert bm.samples.tobytes() == boundary_metric(profile33, params33, 1_000).samples.tobytes()
+
+
+def _mp_piece_warps(params, bridge):
+    """B(s) = cot(r0) R(t(s)) in extended precision for each piece's formula
+    of R; on the boundary t <= r0, where the taper of the outer piece is 1."""
+    mp = mpmath.mp
+    r0, psi, b = mp.mpf(params.r0), mp.mpf(params.psi), mp.mpf(params.t_cut)
+    dth, q = mp.mpf(bridge.dtheta_b), mp.mpf(bridge.q)
+
+    def inner(t):
+        return r0 / 2 * mp.sin(2 * t / r0)
+
+    def bridged(t):
+        return inner(t) + dth * (b - psi) / (q + 1) * ((t - psi) / (b - psi)) ** (q + 1)
+
+    def outer(t):
+        return mp.mpf(params.R0) * mp.sin(t + mp.mpf(params.shift))
+
+    def warp(piece):
+        return lambda s: mp.cot(r0) * piece(mp.asin(mp.sin(r0) * mp.sin(s / mp.cos(r0))))
+
+    return {"inner": warp(inner), "bridge": warp(bridged), "outer": warp(outer)}
+
+
+def test_chain_rule_matches_extended_precision_piece_formulas(params33, bridge33,
+                                                              profile33):
+    p = params33
+    fracs = np.linspace(0.05, 0.95, 7)
+    ts = {"inner": p.psi * fracs,
+          "bridge": p.psi + (p.t_cut - p.psi) * fracs,
+          "outer": p.t_cut + (0.95 * p.r0 - p.t_cut) * fracs}
+    length = math.pi * math.cos(p.r0)
+    warps = _mp_piece_warps(p, bridge33)
+    checked = 0
+    with mpmath.workdps(50):
+        for piece, t in ts.items():
+            s_near = math.cos(p.r0) * np.arcsin(np.sin(t) / math.sin(p.r0))
+            # the far half is read from the far pole
+            for s, sign in ((s_near, 1.0), (length - s_near[::3], -1.0)):
+                _, d1, d2 = warp_jet(profile33, p.r0, s)
+                for si, got1, got2 in zip(s, d1, d2):
+                    at = mpmath.mpf(float(length - si) if sign < 0 else float(si))
+                    want1 = sign * float(mpmath.diff(warps[piece], at, 1))
+                    want2 = float(mpmath.diff(warps[piece], at, 2))
+                    assert got1 == pytest.approx(want1, rel=1e-10), (piece, si)
+                    assert got2 == pytest.approx(want2, rel=1e-10), (piece, si)
+                    checked += 1
+    assert checked >= 20
+
+
+def _central_differences(profile, r0, s):
+    """The former route to B' and B'': central differences of B with step
+    1e-5 cos(r0), three profile jets per sample."""
+    tan_r0 = math.tan(r0)
+    h = 1e-5 * math.cos(r0)
+
+    def B(x):
+        u = np.clip(x * tan_r0, 0.0, math.pi * math.sin(r0))
+        return profile.jet(t_of_s(r0, u))[0] / tan_r0
+
+    vp, v, vm = B(s + h), B(s), B(s - h)
+    return (vp - vm) / (2.0 * h), (vp - 2.0 * v + vm) / h**2
+
+
+def test_chain_rule_matches_central_differences(params33, profile33, bm33):
+    p = params33
+    s, d1, d2 = (bm33.samples[1:-1, j] for j in (0, 2, 3))
+    length = math.pi * math.cos(p.r0)
+    far = s > 0.5 * length
+    # read at the mirror point on the far half, as the samples are: there
+    # the stencil's B, through sin(sigma) near pi, loses up to 5.7e-4 of B''
+    near_s = np.where(far, length - s, s)
+    fd1, fd2 = _central_differences(profile33, p.r0, near_s)
+    fd1 = np.where(far, -fd1, fd1)
+    # next to the image of psi, theta'' ~ u^(q - 1) gives the stencil a
+    # truncation error of 1.4e-4 in B''; next to that of b it straddles the
+    # jump in R''
+    images = [math.cos(p.r0) * math.asin(math.sin(t) / math.sin(p.r0))
+              for t in (p.psi, p.t_cut)]
+    clear = np.min(np.abs(near_s[:, None] - np.array(images)), axis=1) > 5e-4
+    assert np.count_nonzero(~clear) <= 8
+    for got, want in ((d1, fd1), (d2, fd2)):
+        assert np.allclose(got[clear], want[clear], rtol=1e-4, atol=0.0)
 
 
 def test_rescaled_boundary_sectional_above_one(bm33):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -122,6 +123,39 @@ def test_step_derivative_sups_match_extended_precision():
     (s1, _), (s2, _) = step_derivative_sups()
     assert s1 == pytest.approx(float(_mp_sup_abs_derivative(1)), rel=1e-9)
     assert s2 == pytest.approx(float(_mp_sup_abs_derivative(2)), rel=1e-9)
+
+
+def _full_grid_step_sups():
+    """The reference scan: one jet of the whole 100,001-point grid, its
+    first maximum of each |S^(k)|, then 2,001 points across the bracket."""
+    g = np.linspace(0.0, 1.0, 100_001)
+    coarse = step_jet(g)
+    sups = []
+    for k in (1, 2):
+        i = int(np.argmax(np.abs(coarse[k])))
+        fine = np.linspace(g[i - 1], g[i + 1], 2_001)
+        vals = np.abs(step_jet(fine)[k])
+        j = int(np.argmax(vals))
+        sups.append((float(vals[j]), float(fine[j])))
+    return tuple(sups)
+
+
+def test_step_derivative_sups_equal_full_grid_scan():
+    def bits(sups):
+        return [x.hex() for pair in sups for x in pair]
+
+    assert bits(step_derivative_sups.__wrapped__()) == bits(_full_grid_step_sups())
+
+
+def test_step_derivative_sups_peak_memory():
+    # a jet of the whole 100,001-point grid holds about 14.5 MB of temporaries
+    tracemalloc.start()
+    try:
+        step_derivative_sups.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("Lambda", [None, 30.0, 100.0], ids=["default", "30", "100"])

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ricci_forge import (
@@ -15,12 +18,14 @@ from ricci_forge import (
     report_to_dict,
     report_to_json,
     run_verification,
+    select_params,
     verify,
 )
 from ricci_forge import cli
 from ricci_forge.paramgen import OVERRIDE_NAMES, _slope_budgets, _threshold_scan
 from ricci_forge.profile import validate_smooth
-from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, STRICT_FLOOR
+from ricci_forge.grids import T_MAX
+from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, RICCI_EPS, STRICT_FLOOR
 from test_acceptance import NS, PS
 
 SWEEP = tuple((n, p) for n in NS for p in PS)
@@ -190,6 +195,52 @@ def test_grid_resolution_respected():
     rep = run_verification(3, 3, grid=GridSpec(points=1_000, lo=0.0, hi=math.pi / 2))
     assert rep.overall
     assert rep.artifacts["t_grid"].size <= 2_001
+
+
+@pytest.mark.parametrize("points", [100, 2_000, 10_000, 20_000])
+def test_curvature_t_grid_equals_unique(points):
+    # one configuration per distinct r0 of the sweep, and an r0 on a point of
+    # the interior grid, which the boundary grid then repeats
+    interior = np.linspace(RICCI_EPS, T_MAX, points)
+    cases = {select_params(n, p).r0: (n, p, None) for n, p in SWEEP}
+    shared = float(interior[np.searchsorted(interior, min(cases))])
+    cases[shared] = (3, 3, {"r0": shared})
+    for r0, (n, p, overrides) in cases.items():
+        report = run_verification(n, p, overrides,
+                                  grid=GridSpec(points=points, lo=0.0, hi=1.0))
+        want = np.unique(np.concatenate([interior, np.linspace(0.0, r0, points)]))
+        assert report.artifacts["t_grid"].tobytes() == want.tobytes()
+    assert want.size == 2 * points - 1
+
+
+_NO_NUMPY_MA = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("numpy imports numpy.ma")
+    sys.exit(0)
+from ricci_forge import cli, run_verification
+run_verification(3, 3)
+out = sys.argv[1]
+cli.run(["--dim", "3", "--punctures", "3", "--quiet", "--out", out + "/r.json",
+         "--profile-csv", out + "/p.csv", "--curvature-csv", out + "/c.csv",
+         "--boundary-csv", out + "/b.csv"])
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_certification_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use in numpy 2.4: 12-21 ms and
+    # 1.3 MB of a fresh process's first certification
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    if proc.stdout.strip() == "numpy imports numpy.ma":
+        pytest.skip("numpy 1.x imports numpy.ma with numpy itself")
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "b.csv").exists()
 
 
 def test_gridspec_invariants():
