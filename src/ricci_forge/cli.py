@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import RicciForgeError
 from .fmt17 import render_block
 from .grids import DEFAULT_POINTS, T_MAX, GridSpec
 from .paramgen import OVERRIDE_NAMES
@@ -94,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--quiet", dest="verbosity", action="store_const", const="quiet",
                    help="suppress the summary")
     g.add_argument("--verbose", dest="verbosity", action="store_const",
-                   const="verbose", help="also print parameters")
+                   const="verbose",
+                   help="also print parameters and each stage's time")
     return ap
 
 
@@ -285,6 +285,10 @@ def _print_summary(report, cfg: RunConfig):
             bm = report.artifacts["boundary"]
             print(f"  rho interval = ({lo!r}, {hi!r}), default rho = "
                   f"{bm.rho_default()!r}")
+    if cfg.verbosity == "verbose":
+        print("stages:")
+        for label, seconds in report.artifacts["trace"]:
+            print(f"  {label}: {seconds * 1e3:.3f} ms")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         margin = "n/a" if c.margin is None else f"{c.margin:.6g}"
@@ -321,16 +325,10 @@ def run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    try:
-        report = run_verification(
-            cfg.n, cfg.p, cfg.overrides or None,
-            grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=T_MAX),
-        )
-    except RicciForgeError as e:
-        # run_verification converts expected failures into failing reports;
-        # anything escaping is a usage-level problem
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    report = run_verification(
+        cfg.n, cfg.p, cfg.overrides or None,
+        grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=T_MAX),
+    )
 
     wanted = [d for d in DUMPS if getattr(cfg, d[0])]
     if wanted and "profile" not in report.artifacts:

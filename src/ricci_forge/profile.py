@@ -23,12 +23,11 @@ __all__ = [
     "validate_c1", "validate_smooth",
 ]
 
-DOMAIN_PAD = 1e-3  # finite-difference probes may step slightly past pi/2
 JOIN_TOL = 1e-9
 
 
 def _check_domain(t):
-    if np.any(t < -1e-12) or np.any(t > T_MAX + DOMAIN_PAD):
+    if np.any(t < -1e-12) or np.any(t > T_MAX + 1e-12):
         raise DomainError(f"t outside [0, pi/2]: {t!r}")
 
 

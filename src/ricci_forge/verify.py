@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -23,7 +24,7 @@ import numpy as np
 from .boundary import boundary_metric, rho_interval, t_of_s
 from .bumps import BumpFunction
 from .curvature import curvature_grid, intrinsic_sectional
-from .errors import RicciForgeError
+from .errors import CertificationError, RicciForgeError
 from .grids import DEFAULT_POINTS, T_MAX, GridSpec, open_grid
 from .paramgen import (
     LEMMAS,
@@ -188,25 +189,35 @@ def _lemma_grid_check(lemma_id: LemmaId, params: ParamSet, points: int) -> Check
     return _result(lemma.check, margin, at)
 
 
+def _near_half(s: np.ndarray, length: float) -> np.ndarray:
+    """Arc lengths past ``length / 2`` at their mirror point ``length - s``.
+    The latitude t(s) is symmetric about the apex, and on the far half
+    ``t_of_s`` takes the sine near pi, where it loses relative digits."""
+    return np.where(s > 0.5 * length, length - s, s)
+
+
 def gauss_crosscheck(profile, params: ParamSet) -> CheckResult:
     """Compare the closed-form boundary sectional curvatures against finite
     differences of the unrescaled boundary warping B(s) = R(t(s)); the two
-    routes are independent, so agreement validates the closed forms."""
+    routes are independent, so agreement validates the closed forms. Both
+    are symmetric about the apex, so the far half is read at its mirror
+    point."""
     r0 = params.r0
     length = math.pi * math.sin(r0)
     s = np.linspace(0.05 * length, 0.95 * length, 2_000)
+    u = _near_half(s, length)
     h = 1e-4 * math.sin(r0)
 
     def B(sv):
         return profile.jet(t_of_s(r0, sv))[0]
 
-    b0 = B(s)
-    bp = B(s + h)
-    bm = B(s - h)
+    b0 = B(u)
+    bp = B(u + h)
+    bm = B(u - h)
     d1 = (bp - bm) / (2.0 * h)
     d2 = (bp - 2.0 * b0 + bm) / h**2
 
-    ts = t_of_s(r0, s)
+    ts = t_of_s(r0, u)
     ki_ys, ki_ss = intrinsic_sectional(profile, r0, ts)
     rel_ys = np.abs(ki_ys - (-d2 / b0)) / np.abs(ki_ys)
     rel_ss = np.abs(ki_ss - (1.0 - d1**2) / b0**2) / np.abs(ki_ss)
@@ -219,8 +230,9 @@ def _angle_identity_check(r0: float, points: int) -> CheckResult:
     length = math.pi * math.sin(r0)
     h = 1e-6 * length
     s = np.linspace(2.0 * h, length - 2.0 * h, points)
-    dt_ds = (t_of_s(r0, s + h) - t_of_s(r0, s - h)) / (2.0 * h)
-    ts = t_of_s(r0, s)
+    u = _near_half(s, length)
+    dt_ds = (t_of_s(r0, u + h) - t_of_s(r0, u - h)) / (2.0 * h)
+    ts = t_of_s(r0, u)
     err = np.abs(dt_ds**2 + (np.tan(ts) / math.tan(r0)) ** 2 - 1.0)
     i = int(np.argmax(err))
     return _result("angle_identity", ANGLE_TOL - float(err[i]), float(s[i]))
@@ -250,107 +262,167 @@ def _profile_stage(cascade: ParamSet, points: int):
             MappingProxyType(validate_smooth(profile, cascade.mu, points=points)))
 
 
-def run_verification(n: int, p: int, overrides=None,
-                     grid: GridSpec | None = None) -> VerificationReport:
-    """Run the full construction for (n, p) and certify every clause.
+@dataclass
+class _Run:
+    """One certification's state, read and extended by each stage in turn."""
 
-    Constructor failures become failing checks (never exceptions); checks
-    whose inputs failed upstream are reported failed with a cause pointer.
-    Only ``grid.points`` is read.
-    """
-    points = grid.points if grid is not None else DEFAULT_POINTS
-    results: dict[str, CheckResult] = {}
-    artifacts: dict = {}
+    n: int
+    p: int
+    overrides: dict | None
+    points: int
+    params: ParamSet | None = None
+    profile: ProfileC1 | None = None
+    results: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
+    # a stage's temporaries kept until the run ends, as when the pipeline
+    # was one function: freed at the end of the curvature stage, they let
+    # glibc place later arrays so that repeated --grid 20000 cli.run calls
+    # with every dump peaked 3 MB (5 %) higher in RSS (BENCH_8.json)
+    held: list = field(default_factory=list)
 
-    def emit(name, margin, at, cause=None):
-        results[name] = _result(name, margin, at, cause)
+    def emit(self, name, margin, at, cause=None):
+        self.results[name] = _result(name, margin, at, cause)
 
+
+def _cascade(run: _Run):
+    """The constants and the clauses that re-judge them; a cascade that
+    cannot be selected gives ``parameter_invariants`` its bare error text."""
     try:
-        params = select_params(n, p, overrides)
+        run.params = select_params(run.n, run.p, run.overrides)
     except RicciForgeError as e:
-        cause = _error_text(e)
-        emit("parameter_invariants", None, None, cause)
-        return _assemble(None, results, artifacts,
-                         f"parameter cascade failed ({cause})")
+        run.emit("parameter_invariants", None, None, _error_text(e))
+        raise
+    params = run.params
+    run.emit("parameter_invariants", _param_slacks(params), None)
+    run.emit("star_inequality_at_psi",
+             star_margin(params.R0, params.kappa, params.zeta, params.r0, params.psi),
+             params.psi)
+    run.emit("r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
-    emit("parameter_invariants", _param_slacks(params), None)
 
+def _lemma_grids(run: _Run):
     for lemma_id, lemma in LEMMAS.items():
-        results[lemma.check] = _lemma_grid_check(lemma_id, params, points)
+        run.results[lemma.check] = _lemma_grid_check(lemma_id, run.params, run.points)
 
-    (g1, at1), (g2, at2) = BumpFunction(params.Lambda).derivative_sups()
-    emit("gamma_first_derivative_bound", params.R0 - g1, at1)
-    emit("gamma_second_derivative_bound", params.R0 - g2, at2)
-    emit("star_inequality_at_psi",
-         star_margin(params.R0, params.kappa, params.zeta, params.r0, params.psi),
-         params.psi)
-    emit("r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
-    try:
-        profile, c1_margins, smooth_margins = _profile_stage(
-            replace(params, n=None, p=None), points)
-    except RicciForgeError as e:
-        return _assemble(params, results, artifacts,
-                         f"profile construction failed ({_error_text(e)})")
-    results.update(_margin_results(c1_margins))
+def _taper(run: _Run):
+    (g1, at1), (g2, at2) = BumpFunction(run.params.Lambda).derivative_sups()
+    run.emit("gamma_first_derivative_bound", run.params.R0 - g1, at1)
+    run.emit("gamma_second_derivative_bound", run.params.R0 - g2, at2)
+
+
+def _profile_construction(run: _Run):
+    """The C1 and smoothing clauses; a smoothing clause at or below its
+    floor fails the stage, and every smoothing check names the worst one."""
+    profile, c1_margins, smooth_margins = _profile_stage(
+        replace(run.params, n=None, p=None), run.points)
+    run.results.update(_margin_results(c1_margins))
     # profile_le_sin, the one entry that is not a check, needs >= 0
     failed = [name for name, (m, _) in smooth_margins.items()
               if not _passes(_KINDS.get(name, NONNEG), m)]
     if failed:
         worst = min(failed, key=lambda name: smooth_margins[name][0])
         m, at = smooth_margins[worst]
-        cause = (f"{worst}: smoothing clauses fail; worst clause {worst} "
-                 f"with margin {m!r} at t = {at!r}")
-        results.update(_margin_results(smooth_margins, cause))
-        return _assemble(params, results, artifacts,
-                         f"profile construction failed ({cause})")
-    results.update(_margin_results(smooth_margins))
-    artifacts["profile"] = profile
+        error = CertificationError(f"smoothing clauses fail; worst clause {worst} "
+                                   f"with margin {m!r} at t = {at!r}", clause=worst)
+        run.results.update(_margin_results(smooth_margins, _error_text(error)))
+        raise error
+    run.results.update(_margin_results(smooth_margins))
+    run.profile = run.artifacts["profile"] = profile
 
+
+def _curvature(run: _Run):
     # curvature checks on the union of the interior and boundary grids: a sort
     # and a duplicate mask, as np.unique, which imports numpy.ma in numpy 2.4
-    r0 = params.r0
+    r0 = run.params.r0
     t_curv = np.sort(np.concatenate([
-        np.linspace(RICCI_EPS, T_MAX, points),
-        np.linspace(0.0, r0, points),
+        np.linspace(RICCI_EPS, T_MAX, run.points),
+        np.linspace(0.0, r0, run.points),
     ]))
     t_curv = t_curv[np.concatenate([[True], t_curv[1:] != t_curv[:-1]])]
-    curv = curvature_grid(profile, params.n, r0, t_curv)
-    artifacts["t_grid"] = t_curv
-    artifacts["curvature"] = curv
+    curv = curvature_grid(run.profile, run.params.n, r0, t_curv)
+    run.artifacts["t_grid"] = t_curv
+    run.artifacts["curvature"] = curv
 
     for name, col in (("ricci_tt_positive", curv.ric_tt),
                       ("ricci_xx_positive", curv.ric_xx),
                       ("ricci_ss_positive", curv.ric_ss)):
-        emit(name, *_refined_min(t_curv, col))
+        run.emit(name, *_refined_min(t_curv, col))
 
     mb = t_curv <= r0 + 1e-15
     tb = t_curv[mb]
     cot_r0 = 1.0 / math.tan(r0)
     pc_worst = np.minimum(curv.pc_circle[mb], curv.pc_sphere[mb]) + cot_r0
-    emit("corollary_2_16_bound", *_refined_min(tb, pc_worst))
+    run.emit("corollary_2_16_bound", *_refined_min(tb, pc_worst))
     for name, col in (("lemma_2_17_bound", curv.ki_ys),
                       ("lemma_2_18_bound", curv.ki_ss)):
-        emit(name, *_refined_min(tb, col[mb] - cot_r0**2))
+        run.emit(name, *_refined_min(tb, col[mb] - cot_r0**2))
+    run.held += (mb, tb, pc_worst)
 
-    results["gauss_crosscheck"] = gauss_crosscheck(profile, params)
-    results["angle_identity"] = _angle_identity_check(r0, min(points, 2_000))
 
-    bm = boundary_metric(profile, params, points)
-    artifacts["boundary"] = bm
-    emit("tau_below_r0", params.R0 - bm.tau, None)
-    emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
+def _gauss(run: _Run):
+    run.results["gauss_crosscheck"] = gauss_crosscheck(run.profile, run.params)
+
+
+def _angle(run: _Run):
+    run.results["angle_identity"] = _angle_identity_check(run.params.r0,
+                                                          min(run.points, 2_000))
+
+
+def _boundary(run: _Run):
+    bm = boundary_metric(run.profile, run.params, run.points)
+    run.artifacts["boundary"] = bm
+    run.emit("tau_below_r0", run.params.R0 - bm.tau, None)
+    run.emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
     lo, hi = rho_interval(bm)
-    emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
-    artifacts["rho"] = (lo, hi)
-
-    return _assemble(params, results, artifacts)
+    run.emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
+    run.artifacts["rho"] = (lo, hi)
 
 
-def _assemble(params, results, artifacts, failed: str | None = None) -> VerificationReport:
+# The stages in run order. A stage's label names its trace entry and, when
+# the stage raises, the cause of every check left unemitted.
+STAGES = (
+    ("parameter cascade", _cascade),
+    ("lemma grids", _lemma_grids),
+    ("taper", _taper),
+    ("profile construction", _profile_construction),
+    ("curvature", _curvature),
+    ("gauss cross-check", _gauss),
+    ("angle identity", _angle),
+    ("boundary", _boundary),
+)
+
+
+def run_verification(n: int, p: int, overrides=None,
+                     grid: GridSpec | None = None) -> VerificationReport:
+    """Run the full construction for (n, p) and certify every clause.
+
+    The stages of ``STAGES`` run in order. A stage that raises a
+    ``RicciForgeError`` ends the run: the report names the stage and the
+    error's clause, and every check not yet emitted is reported skipped with
+    that cause. ``artifacts["trace"]`` lists ``(label, seconds)`` for each
+    stage that ran, the failing one included. Only ``grid.points`` is read.
+    """
+    run = _Run(n, p, overrides, grid.points if grid is not None else DEFAULT_POINTS)
+    trace = run.artifacts["trace"] = []
+    failed = None
+    for label, stage in STAGES:
+        start = time.perf_counter()
+        try:
+            stage(run)
+        except RicciForgeError as e:
+            failed = f"{label} failed ({_error_text(e)})"
+            break
+        finally:
+            trace.append((label, time.perf_counter() - start))
+    return _assemble(run, failed)
+
+
+def _assemble(run: _Run, failed: str | None = None) -> VerificationReport:
     """The report in CHECK_TABLE order. After a failed stage (``failed``
     names it and its cause) every check not yet emitted is reported skipped;
     otherwise a check never emitted is an internal error."""
+    results = run.results
     if failed is not None:
         for name in CHECK_NAMES:
             results.setdefault(name, _result(name, None, None, f"skipped: {failed}"))
@@ -359,8 +431,8 @@ def _assemble(params, results, artifacts, failed: str | None = None) -> Verifica
         raise RuntimeError(f"internal error: checks never emitted: {missing}")
     checks = tuple(results[nm] for nm in CHECK_NAMES)
     overall = all(c.passed for c in checks)
-    return VerificationReport(params=params, checks=checks, overall=overall,
-                              artifacts=artifacts)
+    return VerificationReport(params=run.params, checks=checks, overall=overall,
+                              artifacts=run.artifacts)
 
 
 # ---------------------------------------------------------------------------

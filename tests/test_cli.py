@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,11 +10,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ricci_forge import cli
+from ricci_forge import DomainError, cli, verify
 from ricci_forge.cli import (
     CSV_BLOCK_ROWS, MIN_GRID, RunConfig, _atomic_write, _csv, run)
 from ricci_forge.grids import GridSpec
-from ricci_forge.verify import report_to_json, run_verification
+from ricci_forge.verify import STAGES, report_to_json, run_verification
 
 
 def _run_full(tmp_path, grid=1_000, extra=()):
@@ -88,6 +89,33 @@ def test_tiny_mu_writes_failing_report(tmp_path):
         assert "Lemma 2.13(c)" in first["cause"] and f"mu = {mu}" in first["cause"]
         skip = f"skipped: parameter cascade failed ({first['cause']})"
         assert all(c["cause"] == skip and not c["passed"] for c in rest)
+
+
+def test_later_stage_error_writes_failing_report(tmp_path, monkeypatch, capsys):
+    # a RicciForgeError past the cascade is a failing report (exit 1), not a
+    # usage error (exit 2)
+    def failing_boundary(profile, params, points):
+        raise DomainError("injected boundary failure", clause="Lemma 2.3")
+
+    monkeypatch.setattr(verify, "boundary_metric", failing_boundary)
+    out = tmp_path / "r.json"
+    assert run(["--dim", "3", "--punctures", "3", "--out", str(out), "--quiet"]) == 1
+    report = json.loads(out.read_text())
+    assert report["overall"] == "fail"
+    skip = "skipped: boundary failed (Lemma 2.3: injected boundary failure)"
+    assert [c["name"] for c in report["checks"] if c["cause"] == skip] == [
+        "tau_below_r0", "omega_exceeds_tau_power", "rho_interval_nonempty"]
+    assert capsys.readouterr().err == ""
+
+
+def test_verbose_prints_one_line_per_stage(capsys):
+    assert run(["--dim", "3", "--punctures", "3", "--grid", "200", "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("stages:") + 1
+    block = list(itertools.takewhile(lambda line: line.startswith("  "), lines[start:]))
+    assert [line.strip().rpartition(": ")[0] for line in block] \
+        == [label for label, _ in STAGES]
+    assert all(line.endswith(" ms") for line in block)
 
 
 def test_failure_causes_carry_no_numpy_reprs(tmp_path):

@@ -308,6 +308,12 @@ def test_profile_domain_error(profile33):
         profile33.jet(-0.5)
 
 
+def test_profile_domain_ends_at_half_pi(profile33):
+    assert np.isfinite(profile33.jet(T_MAX)[0])
+    with pytest.raises(DomainError):
+        profile33.jet(T_MAX + 1e-9)
+
+
 def _fd_consistency(profile, lo, hi, seed):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(lo, hi, 1_000)

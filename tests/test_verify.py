@@ -13,6 +13,7 @@ import pytest
 from ricci_forge import (
     CHECK_NAMES,
     CertificationError,
+    DomainError,
     GridSpec,
     gauss_crosscheck,
     report_to_dict,
@@ -25,7 +26,8 @@ from ricci_forge import cli
 from ricci_forge.paramgen import OVERRIDE_NAMES, _slope_budgets, _threshold_scan
 from ricci_forge.profile import validate_smooth
 from ricci_forge.grids import T_MAX
-from ricci_forge.verify import CHECK_TABLE, GAUSS_TOL, RICCI_EPS, STRICT_FLOOR
+from ricci_forge.verify import (
+    ANGLE_TOL, CHECK_TABLE, GAUSS_TOL, RICCI_EPS, STAGES, STRICT_FLOOR)
 from test_acceptance import NS, PS
 
 SWEEP = tuple((n, p) for n in NS for p in PS)
@@ -152,6 +154,13 @@ def test_gauss_crosscheck_round_hook(round_profile, params33):
 def test_gauss_crosscheck_degenerate_grid(profile33, params33):
     chk = gauss_crosscheck(profile33, params33)
     assert chk.passed
+
+
+def test_boundary_crosschecks_read_far_half_at_mirror_point(report33):
+    # t(s) loses relative digits past the apex, where sin(s / sin r0) is
+    # taken near pi; read there, the worst errors were 2.85e-7 and 1.47e-10
+    assert GAUSS_TOL - report33.check("gauss_crosscheck").margin <= 1e-7
+    assert ANGLE_TOL - report33.check("angle_identity").margin <= 1e-10
 
 
 def test_report_serialization_schema(report33):
@@ -368,6 +377,54 @@ def test_profile_stage_failure_is_not_cached(empty_profile_cache, monkeypatch):
     assert run_verification(3, 3).overall
 
 
+# ---------------------------------------------------------------------------
+# The stage loop
+# ---------------------------------------------------------------------------
+
+LABELS = [label for label, _ in STAGES]
+
+
+def _traced(report):
+    return [label for label, _ in report.artifacts["trace"]]
+
+
+def test_trace_lists_every_stage_once_in_order(report33):
+    trace = report33.artifacts["trace"]
+    assert _traced(report33) == LABELS and len(set(LABELS)) == len(LABELS)
+    assert all(isinstance(s, float) and s >= 0.0 for _, s in trace)
+
+
+def test_cascade_failure_trace_ends_at_cascade(report_cache):
+    rep = report_cache(3, 1, {"zeta": 10.0 * (1.1 * 2.0 / math.sqrt(0.3)) ** 3})
+    assert _traced(rep) == ["parameter cascade"]
+
+
+def test_later_stage_error_fails_report(report33, monkeypatch):
+    def failing_grid(profile, n, r0, t):
+        raise DomainError("injected curvature failure")
+
+    monkeypatch.setattr(verify, "curvature_grid", failing_grid)
+    rep = run_verification(3, 3)
+    assert not rep.overall and rep.params == report33.params
+    assert _traced(rep) == LABELS[:LABELS.index("curvature") + 1]
+    skip = "skipped: curvature failed (injected curvature failure)"
+    upstream = CHECK_NAMES[:CHECK_NAMES.index("ricci_tt_positive")]
+    for c in rep.checks:
+        if c.name in upstream or c.name == "r0_disjointness":
+            assert c == report33.check(c.name)
+        else:
+            assert c.cause == skip and c.margin is None and not c.passed, c.name
+    assert "curvature" not in rep.artifacts and "profile" in rep.artifacts
+
+
+def test_report_json_ignores_trace(report33):
+    text = report_to_json(report33)
+    assert "trace" not in text
+    untraced = replace(report33, artifacts={
+        key: value for key, value in report33.artifacts.items() if key != "trace"})
+    assert report_to_json(untraced) == text
+
+
 @pytest.fixture
 def floor_table(empty_profile_cache, monkeypatch, profile33, params33):
     """validate_smooth stubbed by the default table with lemma_2_13_c at
@@ -396,6 +453,11 @@ def test_smooth_clause_within_strict_floor_fails_stage(floor_table):
         if c.name not in emitted:
             assert c.cause == skip and c.margin is None and not c.passed, c.name
     assert "profile" not in rep.artifacts
+
+
+def test_smoothing_failure_trace_ends_at_profile_construction(floor_table):
+    rep = run_verification(3, 3)
+    assert _traced(rep) == LABELS[:LABELS.index("profile construction") + 1]
 
 
 def test_only_failing_checks_carry_a_cause(floor_table):
