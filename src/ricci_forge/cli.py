@@ -198,16 +198,18 @@ def _boundary_columns(report):
         return b, b1, b2, -b2 / b, (1.0 - b1**2) / b**2
 
 
-# Each CSV dump: the RunConfig field of its path, its header, its first
-# column and its other columns, read from a report. The first column is
-# stored in the report, so a dump's cells (the header's column count times
-# that column's length) are known before anything is computed for it.
+# Each CSV dump: the RunConfig field of its path, its header, the report
+# artifacts it reads, its first column and its other columns, read from a
+# report. The first column is stored in the report, so a dump's cells (the
+# header's column count times that column's length) are known before
+# anything is computed for it.
 DUMPS = (
-    ("out_profile_csv", "t,R,R1,R2", lambda r: r.artifacts["t_grid"],
+    ("out_profile_csv", "t,R,R1,R2", ("profile", "t_grid"),
+     lambda r: r.artifacts["t_grid"],
      lambda r: r.artifacts["profile"].jet(r.artifacts["t_grid"])),
     ("out_curvature_csv", "t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
-     lambda r: r.artifacts["curvature"].t, _curvature_columns),
-    ("out_boundary_csv", "s,B,B1,B2,K_rad,K_tan",
+     ("curvature",), lambda r: r.artifacts["curvature"].t, _curvature_columns),
+    ("out_boundary_csv", "s,B,B1,B2,K_rad,K_tan", ("boundary",),
      lambda r: r.artifacts["boundary"].samples[:, 0], _boundary_columns),
 )
 _OUTPUTS = ("out_report", *(key for key, *_ in DUMPS))
@@ -215,7 +217,7 @@ _OUTPUTS = ("out_report", *(key for key, *_ in DUMPS))
 
 def _render(dump, report):
     """The CSV text pieces of one ``DUMPS`` entry for ``report``."""
-    _, header, first, rest = dump
+    _, header, _, first, rest = dump
     return _csv(header, (first(report), *rest(report)))
 
 
@@ -330,15 +332,19 @@ def run(argv) -> int:
         grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=T_MAX),
     )
 
-    wanted = [d for d in DUMPS if getattr(cfg, d[0])]
-    if wanted and "profile" not in report.artifacts:
-        print("warning: pipeline failed before the profile was built; "
-              "CSV dumps skipped", file=sys.stderr)
-        wanted = []
+    wanted = []
+    for dump in DUMPS:
+        path = getattr(cfg, dump[0])
+        if path and all(key in report.artifacts for key in dump[2]):
+            wanted.append(dump)
+        elif path:
+            # a failing stage ended the run before this dump's data was built
+            print(f"warning: {path} not written: the run failed before its "
+                  f"{' and '.join(dump[2])} artifacts were built", file=sys.stderr)
     # a forked child writes the dump with the most cells (the header's
     # columns times the rows) while this process writes the report and the
     # others; without a fork, this process writes them all
-    wanted.sort(key=lambda d: (d[1].count(",") + 1) * len(d[2](report)))
+    wanted.sort(key=lambda d: (d[1].count(",") + 1) * len(d[3](report)))
     dumps = [(getattr(cfg, d[0]), functools.partial(_render, d)) for d in wanted]
     pid = _fork_writer(report, dumps[-1:]) if len(dumps) >= 2 else None
     if pid is not None:

@@ -271,14 +271,8 @@ class _Run:
     overrides: dict | None
     points: int
     params: ParamSet | None = None
-    profile: ProfileC1 | None = None
     results: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
-    # a stage's temporaries kept until the run ends, as when the pipeline
-    # was one function: freed at the end of the curvature stage, they let
-    # glibc place later arrays so that repeated --grid 20000 cli.run calls
-    # with every dump peaked 3 MB (5 %) higher in RSS (BENCH_8.json)
-    held: list = field(default_factory=list)
 
     def emit(self, name, margin, at, cause=None):
         self.results[name] = _result(name, margin, at, cause)
@@ -328,7 +322,7 @@ def _profile_construction(run: _Run):
         run.results.update(_margin_results(smooth_margins, _error_text(error)))
         raise error
     run.results.update(_margin_results(smooth_margins))
-    run.profile = run.artifacts["profile"] = profile
+    run.artifacts["profile"] = profile
 
 
 def _curvature(run: _Run):
@@ -340,7 +334,7 @@ def _curvature(run: _Run):
         np.linspace(0.0, r0, run.points),
     ]))
     t_curv = t_curv[np.concatenate([[True], t_curv[1:] != t_curv[:-1]])]
-    curv = curvature_grid(run.profile, run.params.n, r0, t_curv)
+    curv = curvature_grid(run.artifacts["profile"], run.params.n, r0, t_curv)
     run.artifacts["t_grid"] = t_curv
     run.artifacts["curvature"] = curv
 
@@ -349,7 +343,8 @@ def _curvature(run: _Run):
                       ("ricci_ss_positive", curv.ric_ss)):
         run.emit(name, *_refined_min(t_curv, col))
 
-    mb = t_curv <= r0 + 1e-15
+    # the boundary grid t <= r0 is a prefix of the sorted union grid
+    mb = slice(int(np.searchsorted(t_curv, r0 + 1e-15, side="right")))
     tb = t_curv[mb]
     cot_r0 = 1.0 / math.tan(r0)
     pc_worst = np.minimum(curv.pc_circle[mb], curv.pc_sphere[mb]) + cot_r0
@@ -357,11 +352,10 @@ def _curvature(run: _Run):
     for name, col in (("lemma_2_17_bound", curv.ki_ys),
                       ("lemma_2_18_bound", curv.ki_ss)):
         run.emit(name, *_refined_min(tb, col[mb] - cot_r0**2))
-    run.held += (mb, tb, pc_worst)
 
 
 def _gauss(run: _Run):
-    run.results["gauss_crosscheck"] = gauss_crosscheck(run.profile, run.params)
+    run.results["gauss_crosscheck"] = gauss_crosscheck(run.artifacts["profile"], run.params)
 
 
 def _angle(run: _Run):
@@ -370,7 +364,7 @@ def _angle(run: _Run):
 
 
 def _boundary(run: _Run):
-    bm = boundary_metric(run.profile, run.params, run.points)
+    bm = boundary_metric(run.artifacts["profile"], run.params, run.points)
     run.artifacts["boundary"] = bm
     run.emit("tau_below_r0", run.params.R0 - bm.tau, None)
     run.emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)

@@ -91,21 +91,32 @@ def test_tiny_mu_writes_failing_report(tmp_path):
         assert all(c["cause"] == skip and not c["passed"] for c in rest)
 
 
-def test_later_stage_error_writes_failing_report(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("stage, target, written, skipped", [
+    ("curvature", "curvature_grid", (), ("profile.csv", "curvature.csv", "boundary.csv")),
+    ("boundary", "boundary_metric", ("profile.csv", "curvature.csv"), ("boundary.csv",)),
+])
+def test_later_stage_error_writes_failing_report(tmp_path, monkeypatch, capsys,
+                                                 stage, target, written, skipped):
     # a RicciForgeError past the cascade is a failing report (exit 1), not a
-    # usage error (exit 2)
-    def failing_boundary(profile, params, points):
-        raise DomainError("injected boundary failure", clause="Lemma 2.3")
+    # usage error (exit 2); each CSV dump whose artifacts the failing stage
+    # never built is skipped with a warning, and the others are written
+    def failing(*args):
+        raise DomainError(f"injected {stage} failure", clause="Lemma 2.3")
 
-    monkeypatch.setattr(verify, "boundary_metric", failing_boundary)
-    out = tmp_path / "r.json"
-    assert run(["--dim", "3", "--punctures", "3", "--out", str(out), "--quiet"]) == 1
+    monkeypatch.setattr(verify, target, failing)
+    code, out, *csvs = _run_full(tmp_path)
+    assert code == 1
     report = json.loads(out.read_text())
     assert report["overall"] == "fail"
-    skip = "skipped: boundary failed (Lemma 2.3: injected boundary failure)"
-    assert [c["name"] for c in report["checks"] if c["cause"] == skip] == [
-        "tau_below_r0", "omega_exceeds_tau_power", "rho_interval_nonempty"]
-    assert capsys.readouterr().err == ""
+    skip = f"skipped: {stage} failed (Lemma 2.3: injected {stage} failure)"
+    assert "rho_interval_nonempty" in [c["name"] for c in report["checks"]
+                                       if c["cause"] == skip]
+    assert sorted(p.name for p in csvs if p.exists()) == sorted(written)
+    # stderr is one warning per skipped dump, in DUMPS order, and nothing else
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(skipped)
+    assert all(line.startswith("warning: ") and name in line
+               for line, name in zip(err, skipped))
 
 
 def test_verbose_prints_one_line_per_stage(capsys):
