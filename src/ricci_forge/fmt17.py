@@ -11,11 +11,16 @@ lies within ``_TIE`` of 1/2 may be a tie, and it takes Python's own
 correctly rounded ``%.17g``, as do zeros, subnormals and the cells outside
 the range above. Non-finite cells are empty.
 
-Each cell's text is then gathered from its digits, its sign and its
-separator through a template keyed by its decimal exponent class and its
-count of significant digits, following the ``%g`` rules: fixed notation for
-``-4 <= X < 17``, else ``d.ddde±XX``, trailing zeros and a bare ``.``
-removed.
+Each cell is then laid out in 30 byte slots, one row of a ``(slots,
+cells)`` uint8 array per slot, following the ``%g`` rules: fixed notation
+for ``-4 <= X < 17``, else ``d.ddde±XX``, trailing zeros and a bare ``.``
+removed. The slots are the sign; ``0.`` and up to three zeros for
+``X < 0``; the 17 digits with one dot slot, after digit ``X`` in fixed
+notation or after the first digit in exponent form; ``e``, the exponent's
+sign and three digits, the first only from 100 up; and the separator. The
+slots are filled by 0/1-mask arithmetic (the exponent slots only at the
+cells in exponent form), so a slot a cell leaves unused holds 0; the array
+is transposed once, to one row per cell, and its zero bytes are deleted.
 """
 
 from __future__ import annotations
@@ -30,55 +35,22 @@ _TIE = 1e-9
 _TWO53 = 2.0**53
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
-# bytes of a cell, one row each over the block's cells: the digits d0..d16
-# at rows 1..17 and the exponent digits at 18..20, or a fallback cell's own
-# text at rows 0..23; then the sign and the separator, then the constants
-_DIGIT, _EXPDIG, _TEXT = 1, 18, 24
-_SIGN, _SEP = _TEXT, _TEXT + 1
-_CONSTS = b"0.e+-\0"
-_CONST = _SEP + 1
-_ROWS = _CONST + len(_CONSTS)
-_PAD = _ROWS - 1
-_OUT = 25  # longest cell, '-1.2345678901234567e-100', plus its separator
-
-# template of a cell by (mode, nsig): modes 0..20 are fixed notation for the
-# decimal exponent X = -4..16, then e+XX, e+XXX, e-XX, e-XXX, the empty cell
-# and the fallback cell's own text
-_FIXED = 21
-_EMPTY, _VERBATIM = _FIXED + 4, _FIXED + 5
-_MODES = _FIXED + 6
-
-
-def _template(mode, nsig):
-    zero, dot, e, plus, minus = (_CONST + i for i in range(5))
-    digits = list(range(_DIGIT, _DIGIT + 17))
-    if mode == _VERBATIM:
-        return list(range(_TEXT)) + [_SEP]
-    if mode == _EMPTY:
-        return [_SEP]
-    if mode < _FIXED:
-        x = mode - 4
-        if x < 0:
-            body = [zero, dot] + [zero] * (-x - 1) + digits[:nsig]
-        else:
-            body = digits[:x + 1]
-            if nsig > x + 1:
-                body += [dot] + digits[x + 1:nsig]
-    else:
-        body = digits[:1]
-        if nsig > 1:
-            body += [dot] + digits[1:nsig]
-        cls = mode - _FIXED
-        body += [e, minus if cls >= 2 else plus]
-        body += [_EXPDIG + i for i in ((0, 1, 2) if cls % 2 else (1, 2))]
-    return [_SIGN] + body + [_SEP]
+# the byte slots of a cell: the sign, "0.000" for X = -4..-1, the 17 digits
+# with one dot, "e±ddd", the separator; a fallback cell's own text fills
+# slots 0..23
+_PREFIX, _DIGITS, _EXP, _SEP = 1, 6, 24, 29
+_SLOTS = _SEP + 1
+# each byte of "0.000" and the largest X that shows it
+_ZEROS = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_ZEROS_UPTO = np.array([-1, -1, -2, -3, -4], dtype=np.int64)[:, None]
+_DIGIT_NO = np.arange(17, dtype=np.uint8)[:, None]
+_DOT = np.uint8(ord("."))
 
 
 @lru_cache(maxsize=None)
 def _tables():
     """The double-double ``10**(16-k)`` for k from ``_KMIN`` to
-    ``-_KMIN`` and the cell templates (one column per ``(mode, nsig)``),
-    built on the first render."""
+    ``-_KMIN``, built on the first render."""
     hi, lo = [], []
     for k in range(_KMIN, 1 - _KMIN):
         j = 16 - k
@@ -87,12 +59,7 @@ def _tables():
         a, b = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * b - a * den) / (den * b))
-    templates = np.full((_OUT, _MODES * 17), _PAD, dtype=np.intp)
-    for mode in range(_MODES):
-        for nsig in range(1, 18):
-            cols = _template(mode, nsig)
-            templates[:len(cols), mode * 17 + nsig - 1] = cols
-    return np.array(hi), np.array(lo), templates
+    return np.array(hi), np.array(lo)
 
 
 def _split(v):
@@ -119,8 +86,7 @@ def render_block(block) -> str:
     by ``,`` and every row ended by a newline; a non-finite cell is empty."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     x = block.ravel()
-    size = x.size
-    ph, pl, templates = _tables()
+    ph, pl = _tables()
 
     a = np.abs(x)
     fast = (a >= _LO) & (a <= _HI)
@@ -140,51 +106,63 @@ def render_block(block) -> str:
     n[carry] = 10**16
     k += carry
     fast &= np.abs(frac - 0.5) >= _TIE
+    # each temporary is dropped once used: a block's memory peak is what is
+    # alive at one time
+    del a, frac, low, carry
 
-    finite = np.isfinite(x)
-    mode = np.where((k >= -4) & (k < 17), k + 4,
-                    _FIXED + 2 * (k < 0) + (np.abs(k) >= 100))
-    mode[~fast] = _VERBATIM
-    mode[~finite] = _EMPTY
-
-    buf = np.empty((_ROWS, size), dtype=np.uint8)
-    buf[_CONST:] = np.frombuffer(_CONSTS, dtype=np.uint8)[:, None]
-    buf[_SIGN] = np.where(np.signbit(x), ord("-"), 0)
-    buf[_SEP] = ord(",")
-    buf[_SEP, block.shape[1] - 1::block.shape[1]] = ord("\n")
     # the 17 digits, last first, from the uint32 halves n // 10**8 and the rest
+    digits = np.empty((17, x.size), dtype=np.uint8)
     hi = n // 10**8
     v = (n - hi * 10**8).astype(np.uint32)
-    for row in range(_DIGIT + 16, _DIGIT, -1):
-        if row == _DIGIT + 8:
+    for row in range(16, 0, -1):
+        if row == 8:
             v = hi.astype(np.uint32)
-        q = v // 10
-        buf[row] = v - q * 10
+        q = v // np.uint32(10)
+        digits[row] = v - q * np.uint32(10)
         v = q
-    buf[_DIGIT] = v
+    digits[0] = v
+    del n, hi, v, q
     # digits left once trailing zeros are stripped
-    nsig = (buf[_DIGIT + 1:_DIGIT + 17] != 0) * np.arange(
-        2, 18, dtype=np.uint8)[:, None]
-    nsig = np.maximum(nsig.max(axis=0), 1)
-    buf[_DIGIT:_DIGIT + 17] += ord("0")
-    sci = np.flatnonzero((mode >= _FIXED) & (mode < _EMPTY))
-    e = np.abs(k[sci])
-    for row, div in enumerate((100, 10, 1)):
-        buf[_EXPDIG + row, sci] = e // div % 10 + ord("0")
-    for i in np.flatnonzero(finite & ~fast):
-        text = b"%.17g" % x[i]
-        buf[:_TEXT, i] = 0
-        buf[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    nsig = (digits[1:] != 0) * np.arange(2, 18, dtype=np.uint8)[:, None]
+    nsig = np.maximum(nsig.max(axis=0), np.uint8(1))
+    digits += np.uint8(ord("0"))
 
-    # one byte position of all cells at a time, so each index array holds
-    # one entry per cell rather than one per output byte
-    key = mode * 17 + nsig - 1
-    offsets = templates * size
-    cells = np.arange(size)
-    flat = buf.ravel()
-    out = np.empty((size, _OUT), dtype=np.uint8)
-    for q in range(_OUT):
-        idx = offsets[q][key]
-        idx += cells
-        out[:, q] = flat[idx]
-    return out[out != 0].tobytes().decode("ascii")
+    fixed = fast & (k >= -4) & (k < 17)
+    # digits before the dot: X + 1 in fixed notation (none below 1), one in
+    # exponent form; a fallback or empty cell shows no digit
+    before = (np.where(fixed, np.maximum(k + 1, 0), 1) * fast).astype(np.uint8)
+    shown = np.maximum(nsig, before) * fast
+    dot = fast & (nsig > before) & (before > 0)
+
+    cells = np.zeros((_SLOTS, x.size), dtype=np.uint8)
+    cells[0] = (np.signbit(x) & fast) * np.uint8(ord("-"))
+    cells[_PREFIX:_DIGITS] = (fixed & (k <= _ZEROS_UPTO)) * _ZEROS
+    # digit i sits at slot i before the dot and at slot i + 1 after it; the
+    # trailing zeros past the shown digits stay 0
+    ahead = _DIGIT_NO < before
+    np.multiply(digits, ahead, out=cells[_DIGITS:_DIGITS + 17])
+    after = _DIGIT_NO < shown
+    after ^= ahead
+    digits *= after
+    cells[_DIGITS + 1:_EXP] += digits
+    np.equal(_DIGIT_NO, before, out=ahead)
+    ahead &= dot
+    cells[_DIGITS:_DIGITS + 17] += np.multiply(ahead, _DOT, out=digits)
+    del digits, ahead, after
+    sci = np.flatnonzero(fast & ~fixed)
+    e = np.abs(k[sci])
+    cells[_EXP, sci] = ord("e")
+    cells[_EXP + 1, sci] = np.where(k[sci] < 0, ord("-"), ord("+"))
+    cells[_EXP + 2, sci] = (e >= 100) * (e // 100 + ord("0"))
+    cells[_EXP + 3, sci] = e // 10 % 10 + ord("0")
+    cells[_EXP + 4, sci] = e % 10 + ord("0")
+    cells[_SEP] = ord(",")
+    cells[_SEP, block.shape[1] - 1::block.shape[1]] = ord("\n")
+    # a fallback cell's slots are all 0 so far
+    for i in np.flatnonzero(np.isfinite(x) & ~fast):
+        text = b"%.17g" % x[i]
+        cells[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+
+    out = np.ascontiguousarray(cells.T)
+    del cells
+    return out.tobytes().translate(None, b"\0").decode("ascii")

@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -13,6 +15,7 @@ import pytest
 from ricci_forge import DomainError, cli, verify
 from ricci_forge.cli import (
     CSV_BLOCK_ROWS, MIN_GRID, RunConfig, _atomic_write, _csv, run)
+from ricci_forge.fmt17 import render_block
 from ricci_forge.grids import GridSpec
 from ricci_forge.verify import STAGES, report_to_json, run_verification
 
@@ -382,6 +385,76 @@ def test_csv_renderer_random_bit_patterns():
     _assert_cells_match(values, 5)
 
 
+def _rendered_widths(monkeypatch):
+    """Record the column count of every block ``_csv`` hands the renderer."""
+    widths = []
+    real = cli.render_block
+
+    def render(block):
+        widths.append(block.shape[1])
+        return real(block)
+
+    monkeypatch.setattr(cli, "render_block", render)
+    return widths
+
+
+def _columns(width, rows):
+    finite = [-0.0, 5e-324, 1e-300, 0.1, 1 / 3, -2.5e17, 1e16, 123.0]
+    return [np.resize(np.roll(finite, j), rows) for j in range(width)]
+
+
+SECOND_BLOCK = slice(CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS)
+EMPTY_BLOCK = np.resize([math.nan, math.inf, -math.inf], CSV_BLOCK_ROWS)
+
+
+# the last `tail` columns are empty on every row of the second block, or,
+# straddling, on every row of it but one; `tail == width` empties the block
+@pytest.mark.parametrize("width", range(1, 9))
+def test_csv_empty_tail_columns_are_appended(monkeypatch, width):
+    widths = _rendered_widths(monkeypatch)
+    header = ",".join("c%d" % i for i in range(width))
+    for tail, straddle in itertools.product(range(1, width + 1), (False, True)):
+        cols = _columns(width, 3 * CSV_BLOCK_ROWS + 7)
+        for col in cols[width - tail:]:
+            col[SECOND_BLOCK] = EMPTY_BLOCK
+        if straddle:
+            cols[-1][CSV_BLOCK_ROWS + 5] = 2.5
+        widths.clear()
+        text = "".join(_csv(header, cols))
+        _assert_same_cells(text, _reference_csv(header, cols))
+        second = [width] if straddle else [width - tail] if tail < width else []
+        assert widths == [width, *second, width, width]
+
+
+# an empty column with a filled one after it is rendered like any other
+@pytest.mark.parametrize("width", range(2, 9))
+def test_csv_empty_middle_column_is_rendered(monkeypatch, width):
+    widths = _rendered_widths(monkeypatch)
+    header = ",".join("c%d" % i for i in range(width))
+    cols = _columns(width, 2 * CSV_BLOCK_ROWS + 1)
+    cols[(width - 1) // 2][:] = math.nan
+    _assert_same_cells("".join(_csv(header, cols)), _reference_csv(header, cols))
+    assert widths == [width] * 3
+
+
+def test_render_block_memory_bound():
+    # one block of the (3, 3) curvature dump: per-byte index arrays or
+    # per-slot int64 temporaries would show here first
+    report = run_verification(3, 3)
+    c = report.artifacts["curvature"]
+    block = np.column_stack([col[:CSV_BLOCK_ROWS] for col in
+                             (c.t, *cli._curvature_columns(report))])
+    assert block.shape == (CSV_BLOCK_ROWS, 8)
+    render_block(block)  # the power tables are built on the first render
+    tracemalloc.start()
+    try:
+        render_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
 def test_cli_dumps_match_cell_rule(tmp_path):
     grid = 2_000
     code, _, prof, curv, bdry = _run_full(tmp_path, grid=grid)
@@ -448,6 +521,29 @@ def test_forked_dumps_equal_serial_dumps(tmp_path, monkeypatch):
     assert code == 0 and forks == [1]
     for a, b in zip(forked, serial):
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+# the report and every dump, the forked child's included, get 0o666 less
+# the umask, as a file made by open() would
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_outputs_are_created_under_umask(tmp_path, monkeypatch, umask, mode):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    old = os.umask(umask)
+    try:
+        code, *written = _run_full(tmp_path)
+    finally:
+        os.umask(old)
+    assert code == 0 and forks == [1]
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == \
+        {p.name: mode for p in written}
 
 
 def test_fork_thread_warning_is_ignored(tmp_path, monkeypatch):
