@@ -34,6 +34,7 @@ from .verify import (
     CHECK_NAMES,
     CheckResult,
     VerificationReport,
+    cascade_artifacts,
     gauss_crosscheck,
     report_to_dict,
     report_to_json,
@@ -52,7 +53,8 @@ __all__ = [
     "LemmaId", "ParamSet", "lemma_bound_eval", "select_params",
     "threshold_scan",
     "BridgeTheta", "ProfileC1", "build_bridge_theta",
-    "CHECK_NAMES", "CheckResult", "VerificationReport", "gauss_crosscheck",
+    "CHECK_NAMES", "CheckResult", "VerificationReport", "cascade_artifacts",
+    "gauss_crosscheck",
     "report_to_dict", "report_to_json", "run_verification",
     "__version__",
 ]

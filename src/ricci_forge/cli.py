@@ -16,10 +16,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import RicciForgeError
 from .fmt17 import render_block
 from .grids import DEFAULT_POINTS, T_MAX, GridSpec
 from .paramgen import OVERRIDE_NAMES
-from .verify import report_to_json, run_verification
+from .verify import (CASCADE_ARTIFACTS, cascade_artifacts, report_to_json,
+                     run_verification)
 
 MIN_GRID = 100
 # rows stacked, rendered and written per step of a CSV dump: bounds the
@@ -156,26 +158,47 @@ def _merge_config(args) -> RunConfig:
 
 
 def _check_writable(path: str):
+    if os.path.isdir(path):
+        raise UsageError(f"output path is a directory: {path!r}")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
         raise UsageError(f"output path not writable: {path!r}")
 
 
-def _atomic_write(path: str, chunks):
-    """Write the str pieces of ``chunks`` to ``path`` through a temporary
-    file in the same directory, so the path holds all of it or none. The
-    file is created with mode 0o666 less the umask, as ``open`` would."""
+def _tmp_path(path: str) -> str:
+    """A fresh temporary file name in the directory of ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    return os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+
+
+def _write_new(tmp: str, chunks):
+    """Write the str pieces of ``chunks`` to the new file ``tmp``, created
+    with mode 0o666 less the umask, as ``open`` would; the file is removed
+    when writing fails."""
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _publish(tmp: str, path: str):
+    """Move the written file ``tmp`` onto ``path``, or remove it."""
+    try:
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, chunks):
+    """Write the str pieces of ``chunks`` to ``path`` through a temporary
+    file in the same directory, so the path holds all of it or none."""
+    tmp = _tmp_path(path)
+    _write_new(tmp, chunks)
+    _publish(tmp, path)
 
 
 def _csv(header: str, cols):
@@ -196,65 +219,115 @@ def _csv(header: str, cols):
         yield text.replace("\n", tail + "\n") if tail else text
 
 
-def _curvature_columns(report):
-    c = report.artifacts["curvature"]
-    return c.ric_tt, c.ric_xx, c.ric_ss, c.pc_circle, c.pc_sphere, c.ki_ys, c.ki_ss
+def _profile_columns(artifacts):
+    t = artifacts["t_grid"]
+    return (t, *artifacts["profile"].jet(t))
 
 
-def _boundary_columns(report):
-    _, b, b1, b2 = report.artifacts["boundary"].samples.T
+def _curvature_columns(artifacts):
+    c = artifacts["curvature"]
+    return (c.t, c.ric_tt, c.ric_xx, c.ric_ss, c.pc_circle, c.pc_sphere,
+            c.ki_ys, c.ki_ss)
+
+
+def _boundary_columns(artifacts):
+    s, b, b1, b2 = artifacts["boundary"].samples.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        return b, b1, b2, -b2 / b, (1.0 - b1**2) / b**2
+        return s, b, b1, b2, -b2 / b, (1.0 - b1**2) / b**2
 
 
 # Each CSV dump: the RunConfig field of its path, its header, the report
-# artifacts it reads, its first column and its other columns, read from a
-# report. The first column is stored in the report, so a dump's cells (the
-# header's column count times that column's length) are known before
-# anything is computed for it. The count includes the empty tail cells that
-# ``_csv`` appends without rendering: with the default cascade at --grid
-# 20000, curvature.csv renders 246,016 of its 320,000 cells, still the most.
+# artifacts it reads, and its columns, read from those artifacts. A dump
+# that reads only ``CASCADE_ARTIFACTS`` needs no check, so a forked child
+# can render it while this process certifies.
 DUMPS = (
-    ("out_profile_csv", "t,R,R1,R2", ("profile", "t_grid"),
-     lambda r: r.artifacts["t_grid"],
-     lambda r: r.artifacts["profile"].jet(r.artifacts["t_grid"])),
+    ("out_profile_csv", "t,R,R1,R2", ("profile", "t_grid"), _profile_columns),
     ("out_curvature_csv", "t,ric_TT,ric_XX,ric_SS,pc_circle,pc_sphere,ki_YS,ki_SS",
-     ("curvature",), lambda r: r.artifacts["curvature"].t, _curvature_columns),
-    ("out_boundary_csv", "s,B,B1,B2,K_rad,K_tan", ("boundary",),
-     lambda r: r.artifacts["boundary"].samples[:, 0], _boundary_columns),
+     ("curvature",), _curvature_columns),
+    ("out_boundary_csv", "s,B,B1,B2,K_rad,K_tan", ("boundary",), _boundary_columns),
 )
 _OUTPUTS = ("out_report", *(key for key, *_ in DUMPS))
 
 
-def _render(dump, report):
-    """The CSV text pieces of one ``DUMPS`` entry for ``report``."""
-    _, header, _, first, rest = dump
-    return _csv(header, (first(report), *rest(report)))
+def _render(dump, artifacts):
+    """The CSV text pieces of one ``DUMPS`` entry, read from ``artifacts``."""
+    _, header, _, columns = dump
+    return _csv(header, columns(artifacts))
 
 
 def _report_json(report):
     return [report_to_json(report)]
 
 
-def _write_outputs(report, outputs) -> bool:
-    """Write each ``(path, dump)`` of ``outputs``; False, with the error on
-    stderr, when one cannot be written."""
+def _write_outputs(outputs, write=_atomic_write) -> bool:
+    """``write(path, pieces())`` for each ``(path, pieces)`` of ``outputs``,
+    in order; False, with the error on stderr, at the first that cannot be
+    written."""
     try:
-        for path, dump in outputs:
-            _atomic_write(path, dump(report))
+        for path, pieces in outputs:
+            write(path, pieces())
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return False
     return True
 
 
-def _fork_writer(report, outputs):
-    """Fork a child that writes ``outputs`` and exits 0, or 2 after putting
-    its error on stderr; the child's pid, or None where this platform or
-    this moment cannot fork. The child reads the report through
-    copy-on-write memory, and it ends in ``os._exit``: returning or raising
-    would run the caller's teardown and flush inherited stdio buffers a
-    second time."""
+def _dump_outputs(cfg: RunConfig, dumps, artifacts):
+    """The ``_write_outputs`` entries of ``dumps``, rendered from
+    ``artifacts`` to their configured paths."""
+    return [(getattr(cfg, d[0]), functools.partial(_render, d, artifacts))
+            for d in dumps]
+
+
+def _stage(cfg: RunConfig, staged) -> int:
+    """The forked child's work: build the cascade artifacts and write each
+    ``(path, tmp, dump)`` of ``staged`` to its temporary file ``tmp``, in
+    order. Returns 0, or 2 once a file cannot be written. Artifacts that
+    cannot be built (a ``RicciForgeError``, such as a rejected cascade)
+    stage nothing and return 0: the report names that failure."""
+    try:
+        artifacts = cascade_artifacts(cfg.n, cfg.p, cfg.overrides or None,
+                                      cfg.grid_points)
+    except RicciForgeError:
+        return 0
+    outputs = [(tmp, functools.partial(_render, dump, artifacts))
+               for _, tmp, dump in staged]
+    return 0 if _write_outputs(outputs, _write_new) else 2
+
+
+def _collect(pid: int, staged, built):
+    """Reap the forked child, then move each staged file of a dump in
+    ``built`` (the dumps whose artifacts the report holds) onto its path
+    and remove the others. Returns whether the child and every move
+    succeeded, and the dumps of ``built`` that a cleanly exited child
+    staged nothing for, for this process to write."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        print(f"error: the forked writer ended by signal {-code}", file=sys.stderr)
+    ok, unstaged = code == 0, []
+    for path, tmp, dump in staged:
+        # a child ended by a signal may leave a file half written
+        if code >= 0 and dump in built and os.path.exists(tmp):
+            try:
+                _publish(tmp, path)
+            except OSError as e:
+                print(f"error: cannot write output: {e}", file=sys.stderr)
+                ok = False
+        else:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            if code == 0 and dump in built:
+                unstaged.append(dump)
+    return ok, unstaged
+
+
+def _fork_writer(work):
+    """Fork a child that runs ``work()`` and exits with the code it
+    returns, or 2 after putting the traceback of an exception it raises on
+    stderr; the child's pid, or None where this platform or this moment
+    cannot fork. The child works on a copy-on-write image of this process,
+    and it ends in ``os._exit``: returning or raising would run the
+    caller's teardown and flush inherited stdio buffers a second time."""
     fork = getattr(os, "fork", None)
     if fork is None:
         return None
@@ -264,8 +337,9 @@ def _fork_writer(report, outputs):
         with warnings.catch_warnings():
             # Python 3.12+ warns when a process with threads (numpy's idle
             # BLAS pool) forks, as a lock held by one may never be released
-            # in the child. This child never calls BLAS: it only renders and
-            # writes files.
+            # in the child. This child never calls BLAS: it selects the
+            # cascade and evaluates profile jets and boundary samples by
+            # elementwise numpy arithmetic, renders them and writes files.
             warnings.filterwarnings(
                 "ignore", r"This process \(pid=\d+\) is multi-threaded",
                 DeprecationWarning)
@@ -277,8 +351,7 @@ def _fork_writer(report, outputs):
     code = 2
     try:
         try:
-            if _write_outputs(report, outputs):
-                code = 0
+            code = work()
         except BaseException:
             traceback.print_exc()
         sys.stderr.flush()
@@ -338,38 +411,46 @@ def run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    report = run_verification(
-        cfg.n, cfg.p, cfg.overrides or None,
-        grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=T_MAX),
-    )
-
-    wanted = []
-    for dump in DUMPS:
-        path = getattr(cfg, dump[0])
-        if path and all(key in report.artifacts for key in dump[2]):
-            wanted.append(dump)
-        elif path:
-            # a failing stage ended the run before this dump's data was built
-            print(f"warning: {path} not written: the run failed before its "
-                  f"{' and '.join(dump[2])} artifacts were built", file=sys.stderr)
-    # a forked child writes the dump with the most cells (the header's
-    # columns times the rows, empty tail cells included) while this process
-    # writes the report and the others; without a fork, this process writes
-    # them all
-    wanted.sort(key=lambda d: (d[1].count(",") + 1) * len(d[3](report)))
-    dumps = [(getattr(cfg, d[0]), functools.partial(_render, d)) for d in wanted]
-    pid = _fork_writer(report, dumps[-1:]) if len(dumps) >= 2 else None
-    if pid is not None:
-        dumps = dumps[:-1]
-    if cfg.out_report:
-        dumps.insert(0, (cfg.out_report, _report_json))
-    ok = False
+    # With two or more dumps, a forked child writes those that read only
+    # cascade artifacts to temporary files while this process certifies and
+    # writes the report and the other dumps; this process then publishes
+    # each staged file whose artifacts its own report built. Without a fork,
+    # this process writes them all.
+    requested = [dump for dump in DUMPS if getattr(cfg, dump[0])]
+    staged = []
+    if len(requested) >= 2:
+        staged = [(getattr(cfg, d[0]), _tmp_path(getattr(cfg, d[0])), d)
+                  for d in requested if set(d[2]) <= set(CASCADE_ARTIFACTS)]
+    pid = _fork_writer(functools.partial(_stage, cfg, staged)) if staged else None
+    if pid is None:
+        staged = []
+    built, ok, child_ok, unstaged = [], False, True, []
     try:
-        ok = _write_outputs(report, dumps)
+        report = run_verification(
+            cfg.n, cfg.p, cfg.overrides or None,
+            grid=GridSpec(points=cfg.grid_points, lo=0.0, hi=T_MAX),
+        )
+        for dump in requested:
+            if all(key in report.artifacts for key in dump[2]):
+                built.append(dump)
+            else:
+                # a failing stage ended the run before this dump's data was
+                # built
+                print(f"warning: {getattr(cfg, dump[0])} not written: the run "
+                      f"failed before its {' and '.join(dump[2])} artifacts "
+                      "were built", file=sys.stderr)
+        forked = [dump for *_, dump in staged]
+        outputs = []
+        if cfg.out_report:
+            outputs.append((cfg.out_report, functools.partial(_report_json, report)))
+        ok = _write_outputs(outputs + _dump_outputs(
+            cfg, [d for d in built if d not in forked], report.artifacts))
     finally:
         if pid is not None:
-            # the child has already put its own error on stderr
-            ok = os.waitpid(pid, 0)[1] == 0 and ok
+            # the child has already put its own errors on stderr
+            child_ok, unstaged = _collect(pid, staged, built)
+    ok = ok and child_ok and _write_outputs(
+        _dump_outputs(cfg, unstaged, report.artifacts))
     if not ok:
         return 2
 

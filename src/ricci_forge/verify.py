@@ -246,6 +246,11 @@ def _error_text(e: RicciForgeError) -> str:
     return f"{e.clause}: {e}" if e.clause else str(e)
 
 
+def _profile(cascade: ParamSet) -> ProfileC1:
+    """The C1 profile of one cascade, whose ``n`` and ``p`` are None."""
+    return ProfileC1(params=cascade, bridge=build_bridge_theta(cascade))
+
+
 @lru_cache(maxsize=8)
 def _profile_stage(cascade: ParamSet, points: int):
     """Bridge, C1 profile and the margins of its C1 and smoothing clauses
@@ -257,7 +262,7 @@ def _profile_stage(cascade: ParamSet, points: int):
     Only a bridge that cannot be built raises, and that is not cached; the
     tables are measured, not judged, so one whose clauses fail is kept.
     """
-    profile = ProfileC1(params=cascade, bridge=build_bridge_theta(cascade))
+    profile = _profile(cascade)
     return (profile, MappingProxyType(validate_c1(profile, points)),
             MappingProxyType(validate_smooth(profile, cascade.mu, points=points)))
 
@@ -325,15 +330,20 @@ def _profile_construction(run: _Run):
     run.artifacts["profile"] = profile
 
 
-def _curvature(run: _Run):
-    # curvature checks on the union of the interior and boundary grids: a sort
-    # and a duplicate mask, as np.unique, which imports numpy.ma in numpy 2.4
-    r0 = run.params.r0
-    t_curv = np.sort(np.concatenate([
-        np.linspace(RICCI_EPS, T_MAX, run.points),
-        np.linspace(0.0, r0, run.points),
+def _union_grid(r0: float, points: int) -> np.ndarray:
+    """The curvature grid: the union of the interior grid [RICCI_EPS, pi/2]
+    and the boundary grid [0, r0], sorted, by a sort and a duplicate mask as
+    np.unique does (np.unique imports numpy.ma in numpy 2.4)."""
+    t = np.sort(np.concatenate([
+        np.linspace(RICCI_EPS, T_MAX, points),
+        np.linspace(0.0, r0, points),
     ]))
-    t_curv = t_curv[np.concatenate([[True], t_curv[1:] != t_curv[:-1]])]
+    return t[np.concatenate([[True], t[1:] != t[:-1]])]
+
+
+def _curvature(run: _Run):
+    r0 = run.params.r0
+    t_curv = _union_grid(r0, run.points)
     curv = curvature_grid(run.artifacts["profile"], run.params.n, r0, t_curv)
     run.artifacts["t_grid"] = t_curv
     run.artifacts["curvature"] = curv
@@ -385,6 +395,24 @@ STAGES = (
     ("angle identity", _angle),
     ("boundary", _boundary),
 )
+
+
+# The artifacts that depend only on the cascade and the grid, never on a
+# check: ``cascade_artifacts`` builds exactly these.
+CASCADE_ARTIFACTS = ("profile", "t_grid", "boundary")
+
+
+def cascade_artifacts(n: int, p: int, overrides=None,
+                      points: int = DEFAULT_POINTS) -> dict:
+    """The ``CASCADE_ARTIFACTS`` of ``run_verification(n, p, overrides)`` on
+    a grid of ``points``, built by the stages' own helpers but without any
+    check or the profile's margin tables, so each array is bitwise the one
+    of a run that builds it. Raises the ``RicciForgeError`` of a cascade,
+    bridge or boundary sample that cannot be built."""
+    params = select_params(n, p, overrides)
+    profile = _profile(replace(params, n=None, p=None))
+    return {"profile": profile, "t_grid": _union_grid(params.r0, points),
+            "boundary": boundary_metric(profile, params, points)}
 
 
 def run_verification(n: int, p: int, overrides=None,

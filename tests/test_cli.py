@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -120,6 +121,24 @@ def test_later_stage_error_writes_failing_report(tmp_path, monkeypatch, capsys,
     assert len(err) == len(skipped)
     assert all(line.startswith("warning: ") and name in line
                for line, name in zip(err, skipped))
+    # the forked child was reaped and left no staged file behind
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_rejected_cascade_writes_no_dump(tmp_path, capsys):
+    # the forked child rejects the cascade too and stages nothing
+    code, out, *csvs = _run_full(tmp_path, extra=("--set", "mu=1e-300"))
+    assert code == 1
+    assert json.loads(out.read_text())["overall"] == "fail"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("warning: ") and p.name in line
+               for line, p in zip(err, csvs))
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verbose_prints_one_line_per_stage(capsys):
@@ -154,6 +173,22 @@ def test_small_grid_is_usage_error():
 def test_unwritable_output_is_usage_error():
     assert run(["--dim", "3", "--punctures", "1",
                 "--out", "/nonexistent-dir/x.json"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--out", "--profile-csv", "--boundary-csv"])
+def test_directory_output_is_usage_error(tmp_path, capsys, flag):
+    # rejected before anything runs: no other output is written
+    (tmp_path / "dir").mkdir()
+    paths = {"--out": "report.json", "--profile-csv": "p.csv",
+             "--boundary-csv": "b.csv", flag: "dir"}
+    argv = ["--dim", "3", "--punctures", "3", "--grid", "100", "--quiet"]
+    for name, path in paths.items():
+        argv += [name, str(tmp_path / path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: output path is a directory: {str(tmp_path / 'dir')!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not list((tmp_path / "dir").iterdir())
 
 
 # two flags on one path, and a flag and a config key on one file through a
@@ -441,9 +476,8 @@ def test_render_block_memory_bound():
     # one block of the (3, 3) curvature dump: per-byte index arrays or
     # per-slot int64 temporaries would show here first
     report = run_verification(3, 3)
-    c = report.artifacts["curvature"]
     block = np.column_stack([col[:CSV_BLOCK_ROWS] for col in
-                             (c.t, *cli._curvature_columns(report))])
+                             cli._curvature_columns(report.artifacts)])
     assert block.shape == (CSV_BLOCK_ROWS, 8)
     render_block(block)  # the power tables are built on the first render
     tracemalloc.start()
@@ -573,27 +607,28 @@ def test_fork_thread_warning_is_ignored(tmp_path, monkeypatch):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
-# a failure in the child (curvature, the largest dump), in this process
-# (profile), and an unexpected exception in the child
+# a failure in this process (curvature), in the forked child (boundary, the
+# last dump it stages), and an unexpected exception in the child
 @pytest.mark.parametrize("failing,error", [("curvature.csv", OSError),
-                                           ("profile.csv", OSError),
-                                           ("curvature.csv", ValueError)])
+                                           ("boundary.csv", OSError),
+                                           ("boundary.csv", ValueError)])
 def test_dump_failure_exits_two_and_reaps_child(tmp_path, monkeypatch, capfd,
                                                 cli_outputs, failing, error):
-    real_write = cli._atomic_write
+    real_render = cli._render
 
-    def write(path, chunks):
+    def render(dump, artifacts):
+        chunks = real_render(dump, artifacts)
+        if dump[0] != f"out_{failing[:-len('.csv')]}_csv":
+            return chunks
         # fail after the header, so the temporary file exists by then
-        if os.path.basename(path) == failing:
-            header = next(iter(chunks))
+        header = next(chunks)
 
-            def failing_chunks():
-                yield header
-                raise error("disk full")
-            chunks = failing_chunks()
-        real_write(path, chunks)
+        def failing_chunks():
+            yield header
+            raise error("disk full")
+        return failing_chunks()
 
-    monkeypatch.setattr(cli, "_atomic_write", write)
+    monkeypatch.setattr(cli, "_render", render)
     code, *written = _run_full(tmp_path)
     assert code == 2
     err = capfd.readouterr().err
@@ -607,6 +642,46 @@ def test_dump_failure_exits_two_and_reaps_child(tmp_path, monkeypatch, capfd,
         else:
             assert path.read_bytes() == want.read_bytes(), path.name
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_unexpected_error_while_certifying_leaves_no_staged_file(tmp_path,
+                                                                 monkeypatch):
+    # the forked child stages both of its dumps; this process's report never
+    # comes, so both staged files are removed
+    def failing(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(verify, "curvature_grid", failing)
+    with pytest.raises(RuntimeError):
+        _run_full(tmp_path)
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_ended_by_signal_publishes_nothing(tmp_path, monkeypatch, capfd,
+                                                 cli_outputs):
+    # a staged file of a child that was killed may be incomplete
+    real_write_new = cli._write_new
+    this_process = os.getpid()
+
+    def write_new(tmp, chunks):
+        real_write_new(tmp, chunks)
+        if os.getpid() != this_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "_write_new", write_new)
+    code, *written = _run_full(tmp_path)
+    assert code == 2
+    assert capfd.readouterr().err == \
+        f"error: the forked writer ended by signal {int(signal.SIGKILL)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["curvature.csv", "report.json"]
+    for path, want in zip(written, cli_outputs):
+        if path.exists():
+            assert path.read_bytes() == want.read_bytes(), path.name
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

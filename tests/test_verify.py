@@ -15,6 +15,7 @@ from ricci_forge import (
     CertificationError,
     DomainError,
     GridSpec,
+    cascade_artifacts,
     gauss_crosscheck,
     report_to_dict,
     report_to_json,
@@ -27,7 +28,8 @@ from ricci_forge.paramgen import OVERRIDE_NAMES, _slope_budgets, _threshold_scan
 from ricci_forge.profile import validate_smooth
 from ricci_forge.grids import T_MAX
 from ricci_forge.verify import (
-    ANGLE_TOL, CHECK_TABLE, GAUSS_TOL, RICCI_EPS, STAGES, STRICT_FLOOR)
+    ANGLE_TOL, CASCADE_ARTIFACTS, CHECK_TABLE, GAUSS_TOL, RICCI_EPS, STAGES,
+    STRICT_FLOOR)
 from test_acceptance import NS, PS
 
 SWEEP = tuple((n, p) for n in NS for p in PS)
@@ -298,7 +300,7 @@ def _clear_caches():
 
 
 def _csv_texts(report):
-    return tuple("".join(cli._render(dump, report)) for dump in cli.DUMPS)
+    return tuple("".join(cli._render(dump, report.artifacts)) for dump in cli.DUMPS)
 
 
 @pytest.fixture
@@ -306,6 +308,30 @@ def empty_profile_cache():
     _clear_caches()
     yield
     _clear_caches()
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("n, p, overrides, points", [
+    *((n, p, None, 100) for n, p in SWEEP),
+    (3, 3, None, 20_000), (11, 5, None, 20_000),
+    *((n, p, overrides, 1_000) for n, p, overrides in DRAWS),
+])
+def test_cascade_artifacts_equal_report_artifacts(empty_profile_cache, n, p,
+                                                  overrides, points):
+    report = run_verification(n, p, overrides,
+                              grid=GridSpec(points=points, lo=0.0, hi=T_MAX))
+    # built afresh, as in a process that has not certified this cascade
+    _clear_caches()
+    got = cascade_artifacts(n, p, overrides, points)
+    assert tuple(got) == CASCADE_ARTIFACTS
+    want = report.artifacts
+    assert _bits(got["t_grid"]) == _bits(want["t_grid"])
+    assert _bits(*got["profile"].jet(got["t_grid"])) == \
+        _bits(*want["profile"].jet(want["t_grid"]))
+    assert _bits(got["boundary"].samples) == _bits(want["boundary"].samples)
 
 
 @pytest.fixture(scope="module")
