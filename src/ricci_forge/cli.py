@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import RicciForgeError
 from .fmt17 import render_block
 from .grids import DEFAULT_POINTS, T_MAX, GridSpec
 from .paramgen import OVERRIDE_NAMES
@@ -172,12 +171,12 @@ def _tmp_path(path: str) -> str:
 
 
 def _write_new(tmp: str, chunks):
-    """Write the str pieces of ``chunks`` to the new file ``tmp``, created
+    """Write the bytes pieces of ``chunks`` to the new file ``tmp``, created
     with mode 0o666 less the umask, as ``open`` would; the file is removed
     when writing fails."""
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
     except BaseException:
         os.unlink(tmp)
@@ -194,7 +193,7 @@ def _publish(tmp: str, path: str):
 
 
 def _atomic_write(path: str, chunks):
-    """Write the str pieces of ``chunks`` to ``path`` through a temporary
+    """Write the bytes pieces of ``chunks`` to ``path`` through a temporary
     file in the same directory, so the path holds all of it or none."""
     tmp = _tmp_path(path)
     _write_new(tmp, chunks)
@@ -202,21 +201,21 @@ def _atomic_write(path: str, chunks):
 
 
 def _csv(header: str, cols):
-    """CSV text of equal-length float columns under ``header``, as pieces
+    """CSV bytes of equal-length float columns under ``header``, as pieces
     of one block of rows each: every cell is ``%.17g`` and a non-finite
     value is an empty cell. Trailing columns that are empty on every row of
     a block are not rendered: their cells are appended to each row as
     commas."""
-    yield header + "\n"
+    yield header.encode() + b"\n"
     for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
         block = [col[start:start + CSV_BLOCK_ROWS] for col in cols]
         width = len(block)
         while width and not np.isfinite(block[width - 1]).any():
             width -= 1
         text = (render_block(np.column_stack(block[:width])) if width
-                else "\n" * len(block[0]))
-        tail = "," * (len(block) - max(width, 1))
-        yield text.replace("\n", tail + "\n") if tail else text
+                else b"\n" * len(block[0]))
+        tail = b"," * (len(block) - max(width, 1))
+        yield text.replace(b"\n", tail + b"\n") if tail else text
 
 
 def _profile_columns(artifacts):
@@ -250,61 +249,48 @@ _OUTPUTS = ("out_report", *(key for key, *_ in DUMPS))
 
 
 def _render(dump, artifacts):
-    """The CSV text pieces of one ``DUMPS`` entry, read from ``artifacts``."""
+    """The CSV bytes pieces of one ``DUMPS`` entry, read from ``artifacts``
+    once the first piece is asked for."""
     _, header, _, columns = dump
-    return _csv(header, columns(artifacts))
-
-
-def _report_json(report):
-    return [report_to_json(report)]
+    yield from _csv(header, columns(artifacts))
 
 
 def _write_outputs(outputs, write=_atomic_write) -> bool:
-    """``write(path, pieces())`` for each ``(path, pieces)`` of ``outputs``,
+    """``write(path, chunks)`` for each ``(path, chunks)`` of ``outputs``,
     in order; False, with the error on stderr, at the first that cannot be
     written."""
     try:
-        for path, pieces in outputs:
-            write(path, pieces())
+        for path, chunks in outputs:
+            write(path, chunks)
     except OSError as e:
         print(f"error: cannot write output: {e}", file=sys.stderr)
         return False
     return True
 
 
-def _dump_outputs(cfg: RunConfig, dumps, artifacts):
-    """The ``_write_outputs`` entries of ``dumps``, rendered from
-    ``artifacts`` to their configured paths."""
-    return [(getattr(cfg, d[0]), functools.partial(_render, d, artifacts))
-            for d in dumps]
-
-
 def _stage(cfg: RunConfig, staged) -> int:
     """The forked child's work: build the cascade artifacts and write each
-    ``(path, tmp, dump)`` of ``staged`` to its temporary file ``tmp``, in
-    order. Returns 0, or 2 once a file cannot be written. Artifacts that
-    cannot be built (a ``RicciForgeError``, such as a rejected cascade)
-    stage nothing and return 0: the report names that failure."""
-    try:
-        artifacts = cascade_artifacts(cfg.n, cfg.p, cfg.overrides or None,
-                                      cfg.grid_points)
-    except RicciForgeError:
-        return 0
-    outputs = [(tmp, functools.partial(_render, dump, artifacts))
-               for _, tmp, dump in staged]
+    ``(path, tmp, dump)`` of ``staged`` whose artifacts were built to its
+    temporary file ``tmp``, in order. Returns 0, or 2 once a file cannot be
+    written. A dump whose artifacts cannot be built (such as every dump of
+    a rejected cascade) is not staged: the report names that failure."""
+    artifacts = cascade_artifacts(cfg.n, cfg.p, cfg.overrides or None,
+                                  cfg.grid_points)
+    outputs = [(tmp, _render(dump, artifacts)) for _, tmp, dump in staged
+               if all(key in artifacts for key in dump[2])]
     return 0 if _write_outputs(outputs, _write_new) else 2
 
 
-def _collect(pid: int, staged, built):
+def _collect(pid: int, staged, built) -> bool:
     """Reap the forked child, then move each staged file of a dump in
     ``built`` (the dumps whose artifacts the report holds) onto its path
-    and remove the others. Returns whether the child and every move
-    succeeded, and the dumps of ``built`` that a cleanly exited child
-    staged nothing for, for this process to write."""
+    and remove the others; whether the child and every move succeeded. The
+    child builds those artifacts by the same deterministic functions as the
+    report, so a child that exits 0 has staged every dump of ``built``."""
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code < 0:
         print(f"error: the forked writer ended by signal {-code}", file=sys.stderr)
-    ok, unstaged = code == 0, []
+    ok = code == 0
     for path, tmp, dump in staged:
         # a child ended by a signal may leave a file half written
         if code >= 0 and dump in built and os.path.exists(tmp):
@@ -313,12 +299,9 @@ def _collect(pid: int, staged, built):
             except OSError as e:
                 print(f"error: cannot write output: {e}", file=sys.stderr)
                 ok = False
-        else:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            if code == 0 and dump in built:
-                unstaged.append(dump)
-    return ok, unstaged
+        elif os.path.exists(tmp):
+            os.unlink(tmp)
+    return ok
 
 
 def _fork_writer(work):
@@ -424,7 +407,7 @@ def run(argv) -> int:
     pid = _fork_writer(functools.partial(_stage, cfg, staged)) if staged else None
     if pid is None:
         staged = []
-    built, ok, child_ok, unstaged = [], False, True, []
+    built, child_ok = [], True
     try:
         report = run_verification(
             cfg.n, cfg.p, cfg.overrides or None,
@@ -440,18 +423,16 @@ def run(argv) -> int:
                       f"failed before its {' and '.join(dump[2])} artifacts "
                       "were built", file=sys.stderr)
         forked = [dump for *_, dump in staged]
-        outputs = []
+        outputs = [(getattr(cfg, d[0]), _render(d, report.artifacts))
+                   for d in built if d not in forked]
         if cfg.out_report:
-            outputs.append((cfg.out_report, functools.partial(_report_json, report)))
-        ok = _write_outputs(outputs + _dump_outputs(
-            cfg, [d for d in built if d not in forked], report.artifacts))
+            outputs.insert(0, (cfg.out_report, [report_to_json(report).encode()]))
+        ok = _write_outputs(outputs)
     finally:
         if pid is not None:
             # the child has already put its own errors on stderr
-            child_ok, unstaged = _collect(pid, staged, built)
-    ok = ok and child_ok and _write_outputs(
-        _dump_outputs(cfg, unstaged, report.artifacts))
-    if not ok:
+            child_ok = _collect(pid, staged, built)
+    if not (ok and child_ok):
         return 2
 
     _print_summary(report, cfg)

@@ -81,9 +81,10 @@ def _scaled(a, k, ph, pl):
     return p.astype(np.int64) + fl.astype(np.int64), r - fl, p >= _TWO53
 
 
-def render_block(block) -> str:
-    """``%.17g`` text of every cell of a 2-D float64 block, cells separated
-    by ``,`` and every row ended by a newline; a non-finite cell is empty."""
+def render_block(block) -> bytes:
+    """``%.17g`` ASCII text of every cell of a 2-D float64 block, cells
+    separated by ``,`` and every row ended by a newline; a non-finite cell
+    is empty."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     x = block.ravel()
     ph, pl = _tables()
@@ -165,4 +166,4 @@ def render_block(block) -> str:
 
     out = np.ascontiguousarray(cells.T)
     del cells
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")

@@ -398,21 +398,29 @@ STAGES = (
 
 
 # The artifacts that depend only on the cascade and the grid, never on a
-# check: ``cascade_artifacts`` builds exactly these.
+# check: ``cascade_artifacts`` builds each of these that can be built.
 CASCADE_ARTIFACTS = ("profile", "t_grid", "boundary")
 
 
 def cascade_artifacts(n: int, p: int, overrides=None,
                       points: int = DEFAULT_POINTS) -> dict:
     """The ``CASCADE_ARTIFACTS`` of ``run_verification(n, p, overrides)`` on
-    a grid of ``points``, built by the stages' own helpers but without any
-    check or the profile's margin tables, so each array is bitwise the one
-    of a run that builds it. Raises the ``RicciForgeError`` of a cascade,
-    bridge or boundary sample that cannot be built."""
-    params = select_params(n, p, overrides)
-    profile = _profile(replace(params, n=None, p=None))
-    return {"profile": profile, "t_grid": _union_grid(params.r0, points),
-            "boundary": boundary_metric(profile, params, points)}
+    a grid of ``points`` that can be built, by the stages' own helpers but
+    without any check or the profile's margin tables, so each array is
+    bitwise the one of a run that builds it. A cascade or bridge that
+    cannot be built (a ``RicciForgeError``) gives ``{}``; a boundary sample
+    that raises one leaves out ``"boundary"`` only."""
+    try:
+        params = select_params(n, p, overrides)
+        profile = _profile(replace(params, n=None, p=None))
+    except RicciForgeError:
+        return {}
+    artifacts = {"profile": profile, "t_grid": _union_grid(params.r0, points)}
+    try:
+        artifacts["boundary"] = boundary_metric(profile, params, points)
+    except RicciForgeError:
+        pass
+    return artifacts
 
 
 def run_verification(n: int, p: int, overrides=None,

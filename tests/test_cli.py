@@ -35,6 +35,32 @@ def _run_full(tmp_path, grid=1_000, extra=()):
     return code, out, prof, curv, bdry
 
 
+@pytest.fixture
+def render_log(tmp_path_factory, monkeypatch):
+    """Record ``(pid, dump field)`` of every ``cli._render`` call, the
+    forked child's included, as one line appended to a file per call;
+    returns a function that reads the records back."""
+    path = tmp_path_factory.mktemp("renders") / "log"
+    path.touch()
+    real = cli._render
+
+    def render(dump, artifacts):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {dump[0]}\n")
+        return real(dump, artifacts)
+
+    monkeypatch.setattr(cli, "_render", render)
+    return lambda: [(int(pid), name) for pid, name in
+                    map(str.split, path.read_text().splitlines())]
+
+
+def _split(records):
+    """The dump fields rendered by this process and by other processes."""
+    here = os.getpid()
+    return ([name for pid, name in records if pid == here],
+            sorted(name for pid, name in records if pid != here))
+
+
 @pytest.fixture(scope="module")
 def cli_outputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -100,7 +126,8 @@ def test_tiny_mu_writes_failing_report(tmp_path):
     ("boundary", "boundary_metric", ("profile.csv", "curvature.csv"), ("boundary.csv",)),
 ])
 def test_later_stage_error_writes_failing_report(tmp_path, monkeypatch, capsys,
-                                                 stage, target, written, skipped):
+                                                 render_log, stage, target,
+                                                 written, skipped):
     # a RicciForgeError past the cascade is a failing report (exit 1), not a
     # usage error (exit 2); each CSV dump whose artifacts the failing stage
     # never built is skipped with a warning, and the others are written
@@ -125,6 +152,21 @@ def test_later_stage_error_writes_failing_report(tmp_path, monkeypatch, capsys,
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # the child renders every cascade-only dump it can build, so this
+    # process renders only the curvature dump, once its report built it
+    by_child = {"curvature": ["out_boundary_csv", "out_profile_csv"],
+                "boundary": ["out_profile_csv"]}[stage]
+    assert _split(render_log()) == \
+        (["out_curvature_csv"] * ("curvature.csv" in written), by_child)
+
+
+def test_parallel_split_stays_in_place(tmp_path, render_log):
+    # the serial path writes the same bytes, so only who renders what shows
+    # a fall back to it
+    code, *_ = _run_full(tmp_path)
+    assert code == 0
+    assert _split(render_log()) == \
+        (["out_curvature_csv"], ["out_boundary_csv", "out_profile_csv"])
 
 
 def test_rejected_cascade_writes_no_dump(tmp_path, capsys):
@@ -368,7 +410,7 @@ def test_csv_renderer_matches_cell_rule(rows):
     cols = [np.resize(np.roll(finite, k), rows) for k in range(4)]
     # non-finite values only in the last block
     cols[0][-1], cols[1][-1], cols[2][-1] = math.nan, math.inf, -math.inf
-    text = "".join(_csv("a,b,c,d", cols))
+    text = b"".join(_csv("a,b,c,d", cols)).decode()
     _assert_same_cells(text, _reference_csv("a,b,c,d", cols))
     assert text.count("\n") == rows + 1
     assert text.endswith("\n,,," + "{:.17g}".format(cols[3][-1]) + "\n")
@@ -381,7 +423,7 @@ def _assert_cells_match(values, width):
     values = np.concatenate([values, np.ones(-values.size % width)])
     cols = list(values.reshape(-1, width).T)
     header = ",".join("c%d" % i for i in range(width))
-    _assert_same_cells("".join(_csv(header, cols)), _reference_csv(header, cols))
+    _assert_same_cells(b"".join(_csv(header, cols)).decode(), _reference_csv(header, cols))
 
 
 # exact ties at the 18th digit: 17 digits plus ...5, rounded half to even
@@ -455,7 +497,7 @@ def test_csv_empty_tail_columns_are_appended(monkeypatch, width):
         if straddle:
             cols[-1][CSV_BLOCK_ROWS + 5] = 2.5
         widths.clear()
-        text = "".join(_csv(header, cols))
+        text = b"".join(_csv(header, cols)).decode()
         _assert_same_cells(text, _reference_csv(header, cols))
         second = [width] if straddle else [width - tail] if tail < width else []
         assert widths == [width, *second, width, width]
@@ -468,7 +510,7 @@ def test_csv_empty_middle_column_is_rendered(monkeypatch, width):
     header = ",".join("c%d" % i for i in range(width))
     cols = _columns(width, 2 * CSV_BLOCK_ROWS + 1)
     cols[(width - 1) // 2][:] = math.nan
-    _assert_same_cells("".join(_csv(header, cols)), _reference_csv(header, cols))
+    _assert_same_cells(b"".join(_csv(header, cols)).decode(), _reference_csv(header, cols))
     assert widths == [width] * 3
 
 
@@ -514,7 +556,7 @@ def test_cli_dumps_match_cell_rule(tmp_path):
 def test_atomic_write_keeps_old_file_when_rendering_fails(tmp_path):
     # the CSV blocks are rendered while the file is written
     def chunks():
-        yield "t,R\n"
+        yield b"t,R\n"
         raise ValueError("render failed")
 
     path = tmp_path / "out.csv"

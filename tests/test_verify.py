@@ -300,7 +300,7 @@ def _clear_caches():
 
 
 def _csv_texts(report):
-    return tuple("".join(cli._render(dump, report.artifacts)) for dump in cli.DUMPS)
+    return tuple(b"".join(cli._render(dump, report.artifacts)) for dump in cli.DUMPS)
 
 
 @pytest.fixture
@@ -332,6 +332,33 @@ def test_cascade_artifacts_equal_report_artifacts(empty_profile_cache, n, p,
     assert _bits(*got["profile"].jet(got["t_grid"])) == \
         _bits(*want["profile"].jet(want["t_grid"]))
     assert _bits(got["boundary"].samples) == _bits(want["boundary"].samples)
+
+
+def test_cascade_artifacts_leave_out_only_a_failing_boundary(empty_profile_cache,
+                                                             monkeypatch):
+    def failing(*args):
+        raise DomainError("injected boundary failure", clause="Lemma 2.3")
+
+    monkeypatch.setattr(verify, "boundary_metric", failing)
+    report = run_verification(3, 3)
+    assert "boundary" not in report.artifacts
+    _clear_caches()
+    got = cascade_artifacts(3, 3)
+    assert tuple(got) == ("profile", "t_grid")
+    want = report.artifacts
+    assert _bits(got["t_grid"]) == _bits(want["t_grid"])
+    assert _bits(*got["profile"].jet(got["t_grid"])) == \
+        _bits(*want["profile"].jet(want["t_grid"]))
+
+
+def test_cascade_artifacts_of_rejected_cascade_or_bridge_are_empty(monkeypatch):
+    assert cascade_artifacts(3, 3, {"mu": 1e-300}) == {}
+
+    def failing_bridge(cascade):
+        raise CertificationError("injected bridge failure", clause="Lemma 2.9 (*)")
+
+    monkeypatch.setattr(verify, "build_bridge_theta", failing_bridge)
+    assert cascade_artifacts(3, 3) == {}
 
 
 @pytest.fixture(scope="module")
