@@ -132,11 +132,12 @@ def lemma_bound_eval(lemma_id: LemmaId, x, consts):
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     if np.any(xa <= 0.0) or np.any(xa > X_MAX + 1e-15):
-        raise DomainError(f"x must lie in (0, pi/4], got {x!r}")
+        raise DomainError(f"x must lie in (0, pi/4], got {x!r}", clause=lemma.anchor)
     values = {name: _const(consts, name, lemma.anchor) for name in lemma.needs}
     kappa, zeta = values.get("kappa"), values.get("zeta")
     if kappa is not None and np.any(xa**2 / kappa + xa**4 / (zeta or math.inf) >= math.pi / 2):
-        raise DomainError("tan argument reaches pi/2; constants out of range")
+        raise DomainError("tan argument reaches pi/2; constants out of range",
+                          clause=lemma.anchor)
     lhs, rhs = lemma.sides(xa, **values)
     if scalar:
         return float(lhs), float(rhs)

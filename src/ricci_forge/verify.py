@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .grids import DEFAULT_POINTS, T_MAX, GridSpec, open_grid
 from .paramgen import (
     LEMMAS,
     STRICT_FLOOR,
-    LemmaId,
     ParamSet,
     lemma_margin,
     select_params,
@@ -153,8 +153,7 @@ def _refined_min(xs: np.ndarray, vals: np.ndarray, fn=None):
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def _param_slacks(params: ParamSet) -> float:
-    p = params
+def _param_slacks(p: ParamSet) -> float:
     caps = min(p.R0, math.pi / (2.0 * (1.0 + p.Lambda)), *p.c)
     slacks = [
         0.1 - p.R0,
@@ -176,19 +175,6 @@ def _param_slacks(params: ParamSet) -> float:
     return float(min(slacks))
 
 
-def _lemma_grid_check(lemma_id: LemmaId, params: ParamSet, points: int) -> CheckResult:
-    lemma = LEMMAS[lemma_id]
-    consts = {"R0": params.R0, "kappa": params.kappa, "zeta": params.zeta}
-    xs = open_grid(0.0, params.r0, points, open_lo=True)
-
-    def fn(x):
-        margin = lemma_margin(lemma_id, x, consts)
-        return margin / np.asarray(x, dtype=float) ** 2 if lemma.per_x2 else margin
-
-    margin, at = _refined_min(xs, fn(xs), fn)
-    return _result(lemma.check, margin, at)
-
-
 def _near_half(s: np.ndarray, length: float) -> np.ndarray:
     """Arc lengths past ``length / 2`` at their mirror point ``length - s``.
     The latitude t(s) is symmetric about the apex, and on the far half
@@ -208,12 +194,7 @@ def gauss_crosscheck(profile, params: ParamSet) -> CheckResult:
     u = _near_half(s, length)
     h = 1e-4 * math.sin(r0)
 
-    def B(sv):
-        return profile.jet(t_of_s(r0, sv))[0]
-
-    b0 = B(u)
-    bp = B(u + h)
-    bm = B(u - h)
+    b0, bp, bm = (profile.jet(t_of_s(r0, v))[0] for v in (u, u + h, u - h))
     d1 = (bp - bm) / (2.0 * h)
     d2 = (bp - 2.0 * b0 + bm) / h**2
 
@@ -226,45 +207,12 @@ def gauss_crosscheck(profile, params: ParamSet) -> CheckResult:
     return _result("gauss_crosscheck", GAUSS_TOL - float(worst[i]), float(s[i]))
 
 
-def _angle_identity_check(r0: float, points: int) -> CheckResult:
-    length = math.pi * math.sin(r0)
-    h = 1e-6 * length
-    s = np.linspace(2.0 * h, length - 2.0 * h, points)
-    u = _near_half(s, length)
-    dt_ds = (t_of_s(r0, u + h) - t_of_s(r0, u - h)) / (2.0 * h)
-    ts = t_of_s(r0, u)
-    err = np.abs(dt_ds**2 + (np.tan(ts) / math.tan(r0)) ** 2 - 1.0)
-    i = int(np.argmax(err))
-    return _result("angle_identity", ANGLE_TOL - float(err[i]), float(s[i]))
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
 def _error_text(e: RicciForgeError) -> str:
     return f"{e.clause}: {e}" if e.clause else str(e)
-
-
-def _profile(cascade: ParamSet) -> ProfileC1:
-    """The C1 profile of one cascade, whose ``n`` and ``p`` are None."""
-    return ProfileC1(params=cascade, bridge=build_bridge_theta(cascade))
-
-
-@lru_cache(maxsize=8)
-def _profile_stage(cascade: ParamSet, points: int):
-    """Bridge, C1 profile and the margins of its C1 and smoothing clauses
-    for one cascade; returns ``(profile, c1_margins, smooth_margins)``.
-
-    The profile does not depend on n or p, so ``cascade`` has both set to
-    None and every (n, p) with the same other constants shares one entry;
-    its margin tables are read-only because every such caller gets them.
-    Only a bridge that cannot be built raises, and that is not cached; the
-    tables are measured, not judged, so one whose clauses fail is kept.
-    """
-    profile = _profile(cascade)
-    return (profile, MappingProxyType(validate_c1(profile, points)),
-            MappingProxyType(validate_smooth(profile, cascade.mu, points=points)))
 
 
 @dataclass
@@ -283,14 +231,30 @@ class _Run:
         self.results[name] = _result(name, margin, at, cause)
 
 
-def _cascade(run: _Run):
-    """The constants and the clauses that re-judge them; a cascade that
-    cannot be selected gives ``parameter_invariants`` its bare error text."""
+class Stage(NamedTuple):
+    """The halves of one ``STAGES`` row, each called as ``half(run, made)``.
+    ``build`` selects the cascade or puts the artifacts named in ``makes``
+    into the dict ``made``; its arrays are the same for every n of one
+    cascade (n enters only the boundary's scalar ``rho_lo``). ``build_n``
+    adds the artifacts evaluated at n, and ``judge`` emits the row's checks
+    from the artifacts."""
+
+    judge: Callable
+    build: Callable | None = None
+    makes: tuple = ()
+    build_n: Callable | None = None
+
+
+def _select(run: _Run, made: dict):
+    """A rejected cascade gives ``parameter_invariants`` its error text."""
     try:
         run.params = select_params(run.n, run.p, run.overrides)
     except RicciForgeError as e:
         run.emit("parameter_invariants", None, None, _error_text(e))
         raise
+
+
+def _cascade(run: _Run, made: dict):
     params = run.params
     run.emit("parameter_invariants", _param_slacks(params), None)
     run.emit("star_inequality_at_psi",
@@ -299,22 +263,47 @@ def _cascade(run: _Run):
     run.emit("r0_disjointness", math.pi / params.p - params.r0, params.r0)
 
 
-def _lemma_grids(run: _Run):
+def _lemma_grids(run: _Run, made: dict):
+    params = run.params
+    consts = {"R0": params.R0, "kappa": params.kappa, "zeta": params.zeta}
+    xs = open_grid(0.0, params.r0, run.points, open_lo=True)
     for lemma_id, lemma in LEMMAS.items():
-        run.results[lemma.check] = _lemma_grid_check(lemma_id, run.params, run.points)
+        def fn(x, lemma_id=lemma_id, per_x2=lemma.per_x2):
+            margin = lemma_margin(lemma_id, x, consts)
+            return margin / np.asarray(x, dtype=float) ** 2 if per_x2 else margin
+        run.emit(lemma.check, *_refined_min(xs, fn(xs), fn))
 
 
-def _taper(run: _Run):
+def _taper(run: _Run, made: dict):
     (g1, at1), (g2, at2) = BumpFunction(run.params.Lambda).derivative_sups()
     run.emit("gamma_first_derivative_bound", run.params.R0 - g1, at1)
     run.emit("gamma_second_derivative_bound", run.params.R0 - g2, at2)
 
 
-def _profile_construction(run: _Run):
+def _profile(cascade: ParamSet) -> ProfileC1:
+    """The C1 profile of one cascade, whose ``n`` and ``p`` are None."""
+    return ProfileC1(params=cascade, bridge=build_bridge_theta(cascade))
+
+
+def _build_profile(run: _Run, made: dict):
+    made["profile"] = _profile(replace(run.params, n=None, p=None))
+
+
+@lru_cache(maxsize=8)
+def _profile_margins(cascade: ParamSet, points: int):
+    """``(c1_margins, smooth_margins)`` of the profile of ``cascade``, built
+    afresh. Every (n, p) of one cascade shares an entry, so the tables are
+    read-only. They are measured, not judged, so tables whose clauses fail
+    are kept; an error raised building them is not."""
+    profile = _profile(cascade)
+    return (MappingProxyType(validate_c1(profile, points)),
+            MappingProxyType(validate_smooth(profile, cascade.mu, points=points)))
+
+
+def _profile_construction(run: _Run, made: dict):
     """The C1 and smoothing clauses; a smoothing clause at or below its
     floor fails the stage, and every smoothing check names the worst one."""
-    profile, c1_margins, smooth_margins = _profile_stage(
-        replace(run.params, n=None, p=None), run.points)
+    c1_margins, smooth_margins = _profile_margins(made["profile"].params, run.points)
     run.results.update(_margin_results(c1_margins))
     # profile_le_sin, the one entry that is not a check, needs >= 0
     failed = [name for name, (m, _) in smooth_margins.items()
@@ -327,27 +316,26 @@ def _profile_construction(run: _Run):
         run.results.update(_margin_results(smooth_margins, _error_text(error)))
         raise error
     run.results.update(_margin_results(smooth_margins))
-    run.artifacts["profile"] = profile
 
 
-def _union_grid(r0: float, points: int) -> np.ndarray:
-    """The curvature grid: the union of the interior grid [RICCI_EPS, pi/2]
-    and the boundary grid [0, r0], sorted, by a sort and a duplicate mask as
-    np.unique does (np.unique imports numpy.ma in numpy 2.4)."""
+def _union_grid(run: _Run, made: dict):
+    """The curvature grid [RICCI_EPS, pi/2] joined with [0, r0], sorted and
+    deduplicated by hand (np.unique imports numpy.ma in numpy 2.4)."""
     t = np.sort(np.concatenate([
-        np.linspace(RICCI_EPS, T_MAX, points),
-        np.linspace(0.0, r0, points),
+        np.linspace(RICCI_EPS, T_MAX, run.points),
+        np.linspace(0.0, run.params.r0, run.points),
     ]))
-    return t[np.concatenate([[True], t[1:] != t[:-1]])]
+    made["t_grid"] = t[np.concatenate([[True], t[1:] != t[:-1]])]
 
 
-def _curvature(run: _Run):
+def _build_curvature(run: _Run, made: dict):
+    made["curvature"] = curvature_grid(run.artifacts["profile"], run.params.n,
+                                       run.params.r0, made["t_grid"])
+
+
+def _curvature(run: _Run, made: dict):
     r0 = run.params.r0
-    t_curv = _union_grid(r0, run.points)
-    curv = curvature_grid(run.artifacts["profile"], run.params.n, r0, t_curv)
-    run.artifacts["t_grid"] = t_curv
-    run.artifacts["curvature"] = curv
-
+    t_curv, curv = made["t_grid"], made["curvature"]
     for name, col in (("ricci_tt_positive", curv.ric_tt),
                       ("ricci_xx_positive", curv.ric_xx),
                       ("ricci_ss_positive", curv.ric_ss)):
@@ -364,87 +352,96 @@ def _curvature(run: _Run):
         run.emit(name, *_refined_min(tb, col[mb] - cot_r0**2))
 
 
-def _gauss(run: _Run):
+def _gauss(run: _Run, made: dict):
     run.results["gauss_crosscheck"] = gauss_crosscheck(run.artifacts["profile"], run.params)
 
 
-def _angle(run: _Run):
-    run.results["angle_identity"] = _angle_identity_check(run.params.r0,
-                                                          min(run.points, 2_000))
+def _angle(run: _Run, made: dict):
+    r0 = run.params.r0
+    length = math.pi * math.sin(r0)
+    h = 1e-6 * length
+    s = np.linspace(2.0 * h, length - 2.0 * h, min(run.points, 2_000))
+    u = _near_half(s, length)
+    dt_ds = (t_of_s(r0, u + h) - t_of_s(r0, u - h)) / (2.0 * h)
+    ts = t_of_s(r0, u)
+    err = np.abs(dt_ds**2 + (np.tan(ts) / math.tan(r0)) ** 2 - 1.0)
+    i = int(np.argmax(err))
+    run.emit("angle_identity", ANGLE_TOL - float(err[i]), float(s[i]))
 
 
-def _boundary(run: _Run):
-    bm = boundary_metric(run.artifacts["profile"], run.params, run.points)
-    run.artifacts["boundary"] = bm
+def _build_boundary(run: _Run, made: dict):
+    made["boundary"] = boundary_metric(run.artifacts["profile"], run.params, run.points)
+
+
+def _build_rho(run: _Run, made: dict):
+    made["rho"] = rho_interval(made["boundary"])
+
+
+def _boundary(run: _Run, made: dict):
+    bm, (lo, hi) = made["boundary"], made["rho"]
     run.emit("tau_below_r0", run.params.R0 - bm.tau, None)
     run.emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
-    lo, hi = rho_interval(bm)
     run.emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
-    run.artifacts["rho"] = (lo, hi)
 
 
 # The stages in run order. A stage's label names its trace entry and, when
 # the stage raises, the cause of every check left unemitted.
 STAGES = (
-    ("parameter cascade", _cascade),
-    ("lemma grids", _lemma_grids),
-    ("taper", _taper),
-    ("profile construction", _profile_construction),
-    ("curvature", _curvature),
-    ("gauss cross-check", _gauss),
-    ("angle identity", _angle),
-    ("boundary", _boundary),
+    ("parameter cascade", Stage(_cascade, _select)),
+    ("lemma grids", Stage(_lemma_grids)),
+    ("taper", Stage(_taper)),
+    ("profile construction", Stage(_profile_construction, _build_profile, ("profile",))),
+    ("curvature", Stage(_curvature, _union_grid, ("t_grid",), _build_curvature)),
+    ("gauss cross-check", Stage(_gauss)),
+    ("angle identity", Stage(_angle)),
+    ("boundary", Stage(_boundary, _build_boundary, ("boundary",), _build_rho)),
 )
 
-
-# The artifacts that depend only on the cascade and the grid, never on a
-# check: ``cascade_artifacts`` builds each of these that can be built.
-CASCADE_ARTIFACTS = ("profile", "t_grid", "boundary")
+# What the stages' builds make, in run order: the artifacts that depend
+# only on the cascade and the grid, never on a check.
+CASCADE_ARTIFACTS = tuple(name for _, stage in STAGES for name in stage.makes)
 
 
 def cascade_artifacts(n: int, p: int, overrides=None,
                       points: int = DEFAULT_POINTS) -> dict:
     """The ``CASCADE_ARTIFACTS`` of ``run_verification(n, p, overrides)`` on
-    a grid of ``points`` that can be built, by the stages' own helpers but
-    without any check or the profile's margin tables, so each array is
-    bitwise the one of a run that builds it. A cascade or bridge that
-    cannot be built (a ``RicciForgeError``) gives ``{}``; a boundary sample
-    that raises one leaves out ``"boundary"`` only."""
+    a grid of ``points``, by every ``STAGES`` row's ``build`` in order and
+    no ``build_n`` or judge, so each array is bitwise the report's. A
+    ``RicciForgeError`` ends the builds: a rejected cascade or bridge gives
+    ``{}``, a boundary sample that raises leaves out ``"boundary"`` only."""
+    run = _Run(n, p, overrides, points)
     try:
-        params = select_params(n, p, overrides)
-        profile = _profile(replace(params, n=None, p=None))
-    except RicciForgeError:
-        return {}
-    artifacts = {"profile": profile, "t_grid": _union_grid(params.r0, points)}
-    try:
-        artifacts["boundary"] = boundary_metric(profile, params, points)
+        for build in filter(None, (stage.build for _, stage in STAGES)):
+            build(run, run.artifacts)
     except RicciForgeError:
         pass
-    return artifacts
+    return run.artifacts
 
 
 def run_verification(n: int, p: int, overrides=None,
                      grid: GridSpec | None = None) -> VerificationReport:
-    """Run the full construction for (n, p) and certify every clause.
-
-    The stages of ``STAGES`` run in order. A stage that raises a
-    ``RicciForgeError`` ends the run: the report names the stage and the
-    error's clause, and every check not yet emitted is reported skipped with
-    that cause. ``artifacts["trace"]`` lists ``(label, seconds)`` for each
-    stage that ran, the failing one included. Only ``grid.points`` is read.
-    """
+    """Run the full construction for (n, p) and certify every clause: each
+    ``STAGES`` row runs its ``build``, ``build_n`` and ``judge`` in turn, and
+    its artifacts join the report's once its judge returns. A
+    ``RicciForgeError`` in any half ends the run, and every check not yet
+    emitted is reported skipped with the row's label and the error's clause
+    as its cause. ``artifacts["trace"]`` lists ``(label, seconds)`` for each
+    row that ran, the failing one included. Only ``grid.points`` is read."""
     run = _Run(n, p, overrides, grid.points if grid is not None else DEFAULT_POINTS)
     trace = run.artifacts["trace"] = []
     failed = None
     for label, stage in STAGES:
+        made = {}
         start = time.perf_counter()
         try:
-            stage(run)
+            for half in filter(None, (stage.build, stage.build_n, stage.judge)):
+                half(run, made)
         except RicciForgeError as e:
             failed = f"{label} failed ({_error_text(e)})"
             break
         finally:
             trace.append((label, time.perf_counter() - start))
+        run.artifacts.update(made)
     return _assemble(run, failed)
 
 

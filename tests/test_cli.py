@@ -310,6 +310,35 @@ def test_config_unknown_key_is_usage_error(tmp_path):
     assert run(["--config", str(cfg)]) == 2
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize("flags, config, says", [
+    (("--set", "mu"), None, "--set expects NAME=VALUE, got 'mu'"),
+    ((), _MISSING, "cannot read config"),
+    ((), [1, 2], "must hold a JSON object"),
+    ((), {"overrides": [1]}, "config 'overrides' must be an object"),
+    (("--punctures", "0"), None, "--punctures must be >= 1, got 0"),
+    ((), {"verbosity": "loud"}, "verbosity must be quiet/normal/verbose, got 'loud'"),
+], ids=["set-without-equals", "missing-config", "config-not-object",
+        "overrides-not-object", "no-punctures", "bad-verbosity"])
+def test_usage_error_branches(tmp_path, capsys, flags, config, says):
+    argv = ["--dim", "3", "--punctures", "3", "--out", str(tmp_path / "report.json"),
+            "--profile-csv", str(tmp_path / "profile.csv"), *flags]
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        if config is not _MISSING:
+            cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    assert lines[0].startswith("error: ") and says in lines[0]
+    # no report, dump or staged file: the error is found before any work
+    assert [p.name for p in tmp_path.iterdir() if p != cfg] == []
+
+
 def test_csv_headers_and_shapes(cli_outputs):
     _, prof, curv, bdry = cli_outputs
     assert prof.read_text().splitlines()[0] == "t,R,R1,R2"

@@ -10,6 +10,7 @@ from ricci_forge import (
     ConfigurationError,
     DomainError,
     LemmaId,
+    RicciForgeError,
     lemma_bound_eval,
     select_params,
     threshold_scan,
@@ -91,8 +92,19 @@ def test_lemma_eval_requires_constants():
 
 @pytest.mark.parametrize("x", [0.0, -0.1, math.pi / 2])
 def test_lemma_eval_domain_errors(x):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         lemma_bound_eval(LemmaId.L2_2, x, CONSTS)
+    assert err.value.clause == "Lemma 2.2"
+
+
+def test_threshold_scan_tan_guard_names_its_lemma():
+    # x^2/kappa + x^4/zeta reaches pi/2 inside (0, pi/4] only for a kappa
+    # below the cascade's floor 2/sqrt(3*R0) >= 3.65, so select_params
+    # never reaches this guard
+    with pytest.raises(DomainError) as err:
+        threshold_scan(LemmaId.L2_2, {"kappa": 0.1, "zeta": 1.0})
+    assert err.value.clause == "Lemma 2.2"
+    assert "tan argument reaches pi/2" in str(err.value)
 
 
 @pytest.mark.parametrize("lemma", list(LemmaId))
@@ -292,6 +304,29 @@ def test_select_params_rejects_r0_above_threshold():
     with pytest.raises(ConfigurationError) as err:
         select_params(3, 1, {"r0": 0.5})
     assert "2.8" in str(err.value)
+
+
+@pytest.mark.parametrize("p, overrides, clause, says", [
+    (60, {"r0": 0.06}, "disjointness r0 < pi/p", "removed balls stay disjoint"),
+    # r0^2/kappa underflows to 0
+    (3, {"r0": 1e-200}, "Definition 2.8", "r0^2/kappa = 0.0 is not positive"),
+    # the last four reject at a margin of exactly 0.0, by cancellation
+    (3, {"R0": 0.1, "kappa": 365.1483716701107, "zeta": 1825924.4325363885,
+         "r0": 0.0006147}, "Lemma 2.12(iii)", "Lemma 2.12(iii) bound non-positive"),
+    # a random override draw, zeta within 2e-8 relative of kappa
+    (3, {"R0": 0.003843570852320372, "kappa": 49.70147437474353,
+         "zeta": 49.70147524119454, "Lambda": 34808.81679250833},
+     "Lemma 2.12(iv)", "Lemma 2.12(iv) bound non-positive"),
+    (3, {"R0": 0.1, "kappa": 7.302967433402214, "zeta": 27.020979503588194,
+         "Lambda": 1e6}, "Lemma 2.11", "slope-ratio margin non-positive"),
+    (3, {"R0": 0.001, "kappa": 3651.4837167011074, "zeta": 18259244.325363886,
+         "Lambda": 1e6}, "Lemma 2.6(iii) at x = r0", "fails even as psi -> 0"),
+])
+def test_select_params_rejection_reaches_its_clause(p, overrides, clause, says):
+    with pytest.raises(RicciForgeError) as err:
+        select_params(3, p, overrides)
+    assert err.value.clause == clause
+    assert says in str(err.value)
 
 
 def test_select_params_rejects_unknown_override():

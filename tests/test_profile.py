@@ -391,10 +391,10 @@ class _QuarterCurvature(ProfileC1):
 def quarter_report(monkeypatch):
     """``run_verification(3, 3)`` with the profile stage building
     ``_QuarterCurvature``; the stage's cache is emptied before and after."""
-    verify._profile_stage.cache_clear()
+    verify._profile_margins.cache_clear()
     monkeypatch.setattr(verify, "ProfileC1", _QuarterCurvature)
     yield run_verification(3, 3)
-    verify._profile_stage.cache_clear()
+    verify._profile_margins.cache_clear()
 
 
 def test_smooth_clause_failure_names_worst_clause(params33, quarter_report):

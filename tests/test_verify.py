@@ -294,7 +294,7 @@ def test_many_punctures_run_passes(report_cache):
 # ---------------------------------------------------------------------------
 
 def _clear_caches():
-    verify._profile_stage.cache_clear()
+    verify._profile_margins.cache_clear()
     _threshold_scan.cache_clear()
     _slope_budgets.cache_clear()
 
@@ -361,6 +361,26 @@ def test_cascade_artifacts_of_rejected_cascade_or_bridge_are_empty(monkeypatch):
     assert cascade_artifacts(3, 3) == {}
 
 
+def test_n_free_builds_agree_across_n():
+    # (3, 3) and (17, 10) share the default cascade
+    a, b = cascade_artifacts(3, 3), cascade_artifacts(17, 10)
+    assert a["profile"].params == b["profile"].params
+    assert _bits(a["t_grid"]) == _bits(b["t_grid"])
+    assert _bits(*a["profile"].jet(a["t_grid"])) == _bits(*b["profile"].jet(b["t_grid"]))
+    assert _bits(a["boundary"].samples) == _bits(b["boundary"].samples)
+
+
+def test_cascade_artifacts_are_what_the_builds_make():
+    run = verify._Run(3, 3, None, 200)
+    for _, stage in STAGES:
+        if stage.build is not None:
+            made = {}
+            stage.build(run, made)
+            assert tuple(made) == stage.makes
+            run.artifacts.update(made)
+    assert tuple(run.artifacts) == CASCADE_ARTIFACTS == ("profile", "t_grid", "boundary")
+
+
 @pytest.fixture(scope="module")
 def uncached_sweep():
     """JSON (and, for CSV_CONFIGS, CSV text) of every sweep report, each
@@ -387,7 +407,7 @@ def test_profile_cache_keeps_sweep_bytes(uncached_sweep, seed):
         if ref_csv is not None:
             assert _csv_texts(rep) == ref_csv, (n, p)
     # every sweep input shares one cascade: one build, then reuse
-    info = verify._profile_stage.cache_info()
+    info = verify._profile_margins.cache_info()
     assert (info.misses, info.hits) == (1, len(SWEEP) - 1)
 
 
@@ -400,7 +420,7 @@ def test_profile_cache_misses_on_other_points_or_cascade(empty_profile_cache):
     mu = base.params.mu / 2.0
     other = run_verification(3, 3, {"mu": mu})
     assert other.artifacts["profile"].params.mu == mu != base.artifacts["profile"].params.mu
-    info = verify._profile_stage.cache_info()
+    info = verify._profile_margins.cache_info()
     assert (info.misses, info.hits) == (3, 0)
 
 
@@ -553,10 +573,10 @@ def test_profile_cache_stays_within_bound(empty_profile_cache, monkeypatch,
     # matters
     margins = validate_smooth(profile33, params33.mu)
     monkeypatch.setattr(verify, "validate_smooth", lambda profile, mu, points: margins)
-    bound = verify._profile_stage.cache_info().maxsize
+    bound = verify._profile_margins.cache_info().maxsize
     for k in range(bound + 3):
         run_verification(3, 3, grid=GridSpec(points=200 + k, lo=0.0, hi=1.0))
-        assert verify._profile_stage.cache_info().currsize == min(k + 1, bound)
+        assert verify._profile_margins.cache_info().currsize == min(k + 1, bound)
 
 
 def test_profile_cache_shared_across_threads(uncached_sweep, empty_profile_cache):
