@@ -33,18 +33,13 @@ def t_of_s(r0: float, s):
 @dataclass(frozen=True)
 class BoundaryMetric:
     """Sampled rescaled boundary metric with its pole distance and waist
-    parameters and the lower endpoint of the admissible rho interval."""
+    parameters; the same for every n of one cascade (``rho_interval``
+    reads n)."""
 
     r0: float
-    n: int
     omega: float
     tau: float
     samples: np.ndarray  # columns: s, B, B', B'' (rescaled arc length)
-    rho_lo: float
-
-    def rho_default(self) -> float:
-        """Midpoint of the admissible interval, for reporting."""
-        return 0.5 * sum(rho_interval(self))
 
 
 def warp_jet(profile, r0: float, s):
@@ -73,25 +68,25 @@ def warp_jet(profile, r0: float, s):
 def boundary_metric(profile, params: ParamSet,
                     points: int = DEFAULT_POINTS) -> BoundaryMetric:
     """Sample the rescaled boundary warping at ``points`` arc-length values
-    over its full pole-to-pole range and fill the closed-form waist, pole
-    distance, and lower rho endpoint."""
-    r0, n = params.r0, params.n
+    over its full pole-to-pole range and fill the closed-form waist and pole
+    distance. Only ``params.r0`` is read."""
+    r0 = params.r0
     omega = math.cos(r0)
     s = np.linspace(0.0, math.pi * omega, points)
     tau = (1.0 / math.tan(r0)) * float(profile.jet(r0)[0])
-    rho_lo = tau ** ((n - 2) / (n - 1))
     return BoundaryMetric(
-        r0=r0, n=n, omega=omega, tau=tau,
+        r0=r0, omega=omega, tau=tau,
         samples=np.column_stack([s, *warp_jet(profile, r0, s)]),
-        rho_lo=rho_lo,
     )
 
 
-def rho_interval(bm: BoundaryMetric):
-    """Admissible interval for the gluing radius parameter: the lower end is
-    the waist power tau^((n-2)/(n-1)), the upper end min(omega, 1/2). The
-    report judges its non-emptiness (``rho_interval_nonempty``), the
-    arithmetic the final assembly rests on."""
-    if bm.n < 3:
-        raise DomainError(f"n = {bm.n!r} must be >= 3")
-    return bm.rho_lo, min(bm.omega, 0.5)
+def rho_interval(bm: BoundaryMetric, n: int):
+    """Admissible interval for the gluing radius parameter in dimension n:
+    the lower end is the waist power tau^((n-2)/(n-1)), the upper end
+    min(omega, 1/2). The report judges its non-emptiness
+    (``rho_interval_nonempty``), the arithmetic the final assembly rests
+    on."""
+    if n < 3:
+        raise DomainError(f"n = {n!r} must be >= 3",
+                          clause="Proposition 1.12 (n >= 3)")
+    return bm.tau ** ((n - 2) / (n - 1)), min(bm.omega, 0.5)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .boundary import rho_interval
 from .fmt17 import render_block
 from .grids import DEFAULT_POINTS, T_MAX, GridSpec
 from .paramgen import OVERRIDE_NAMES
@@ -349,11 +350,10 @@ def _print_summary(report, cfg: RunConfig):
         print("parameters:")
         for key, value in report.params.as_dict().items():
             print(f"  {key} = {value!r}")
-        if "rho" in report.artifacts:
-            lo, hi = report.artifacts["rho"]
-            bm = report.artifacts["boundary"]
+        if "boundary" in report.artifacts:
+            lo, hi = rho_interval(report.artifacts["boundary"], report.params.n)
             print(f"  rho interval = ({lo!r}, {hi!r}), default rho = "
-                  f"{bm.rho_default()!r}")
+                  f"{0.5 * (lo + hi)!r}")
     if cfg.verbosity == "verbose":
         print("stages:")
         for label, seconds in report.artifacts["trace"]:
@@ -394,16 +394,14 @@ def run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    # With two or more dumps, a forked child writes those that read only
-    # cascade artifacts to temporary files while this process certifies and
-    # writes the report and the other dumps; this process then publishes
-    # each staged file whose artifacts its own report built. Without a fork,
-    # this process writes them all.
+    # A forked child writes the dumps that read only cascade artifacts to
+    # temporary files while this process certifies and writes the report and
+    # the other dumps; this process then publishes each staged file whose
+    # artifacts its own report built. Without a fork, this process writes
+    # them all.
     requested = [dump for dump in DUMPS if getattr(cfg, dump[0])]
-    staged = []
-    if len(requested) >= 2:
-        staged = [(getattr(cfg, d[0]), _tmp_path(getattr(cfg, d[0])), d)
-                  for d in requested if set(d[2]) <= set(CASCADE_ARTIFACTS)]
+    staged = [(getattr(cfg, d[0]), _tmp_path(getattr(cfg, d[0])), d)
+              for d in requested if set(d[2]) <= set(CASCADE_ARTIFACTS)]
     pid = _fork_writer(functools.partial(_stage, cfg, staged)) if staged else None
     if pid is None:
         staged = []

@@ -234,10 +234,9 @@ class _Run:
 class Stage(NamedTuple):
     """The halves of one ``STAGES`` row, each called as ``half(run, made)``.
     ``build`` selects the cascade or puts the artifacts named in ``makes``
-    into the dict ``made``; its arrays are the same for every n of one
-    cascade (n enters only the boundary's scalar ``rho_lo``). ``build_n``
-    adds the artifacts evaluated at n, and ``judge`` emits the row's checks
-    from the artifacts."""
+    into the dict ``made``; they are the same for every n of one cascade.
+    ``build_n`` adds the artifacts evaluated at n, and ``judge`` emits the
+    row's checks from the artifacts and n."""
 
     judge: Callable
     build: Callable | None = None
@@ -373,14 +372,11 @@ def _build_boundary(run: _Run, made: dict):
     made["boundary"] = boundary_metric(run.artifacts["profile"], run.params, run.points)
 
 
-def _build_rho(run: _Run, made: dict):
-    made["rho"] = rho_interval(made["boundary"])
-
-
 def _boundary(run: _Run, made: dict):
-    bm, (lo, hi) = made["boundary"], made["rho"]
+    bm = made["boundary"]
+    lo, hi = rho_interval(bm, run.params.n)
     run.emit("tau_below_r0", run.params.R0 - bm.tau, None)
-    run.emit("omega_exceeds_tau_power", bm.omega - bm.rho_lo, None)
+    run.emit("omega_exceeds_tau_power", bm.omega - lo, None)
     run.emit("rho_interval_nonempty", min(hi - lo, 0.5 - lo), None)
 
 
@@ -394,7 +390,7 @@ STAGES = (
     ("curvature", Stage(_curvature, _union_grid, ("t_grid",), _build_curvature)),
     ("gauss cross-check", Stage(_gauss)),
     ("angle identity", Stage(_angle)),
-    ("boundary", Stage(_boundary, _build_boundary, ("boundary",), _build_rho)),
+    ("boundary", Stage(_boundary, _build_boundary, ("boundary",))),
 )
 
 # What the stages' builds make, in run order: the artifacts that depend

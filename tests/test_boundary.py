@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -203,7 +204,7 @@ def test_rescaled_boundary_sectional_above_one(bm33):
 
 
 def test_rho_interval_values(params33, bm33):
-    lo, hi = rho_interval(bm33)
+    lo, hi = rho_interval(bm33, params33.n)
     assert lo == math.sqrt(bm33.tau)  # exponent 1/2 at n = 3
     assert hi == 0.5  # omega = cos(r0) > 1/2 for this radius
     assert lo < hi
@@ -221,12 +222,22 @@ def test_rho_chain_links(params33, bm33):
 
 def test_rho_interval_empty_is_returned():
     # rho_interval measures; the report judges emptiness (rho_interval_nonempty)
-    fake = BoundaryMetric(r0=0.06, n=3, omega=0.5, tau=0.9,
-                          samples=np.zeros((4, 4)), rho_lo=0.9486)
-    assert rho_interval(fake) == (0.9486, 0.5)
-    assert fake.rho_default() == 0.5 * (0.9486 + 0.5)
+    fake = BoundaryMetric(r0=0.06, omega=0.5, tau=0.9, samples=np.zeros((4, 4)))
+    assert rho_interval(fake, 3) == (math.sqrt(0.9), 0.5)
 
 
 def test_boundary_metric_rho_fields(params33, bm33):
+    # the boundary metric holds no n; rho_interval reads it
+    assert [f.name for f in fields(bm33)] == ["r0", "omega", "tau", "samples"]
     n = params33.n
-    assert bm33.rho_lo == bm33.tau ** ((n - 2) / (n - 1))
+    assert rho_interval(bm33, n)[0] == bm33.tau ** ((n - 2) / (n - 1))
+
+
+def test_rho_interval_reads_n(bm33):
+    for n in range(3, 14):
+        lo, hi = rho_interval(bm33, n)
+        assert lo.hex() == (bm33.tau ** ((n - 2) / (n - 1))).hex(), n
+        assert hi == min(bm33.omega, 0.5)
+    with pytest.raises(DomainError) as err:
+        rho_interval(bm33, 2)
+    assert err.value.clause == "Proposition 1.12 (n >= 3)"

@@ -757,14 +757,35 @@ def test_child_ended_by_signal_publishes_nothing(tmp_path, monkeypatch, capfd,
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_single_dump_is_written_without_fork(tmp_path, monkeypatch, cli_outputs):
-    forks = _refusing_fork(monkeypatch)
-    prof = tmp_path / "profile.csv"
-    assert run(["--dim", "3", "--punctures", "3", "--grid", "1000", "--quiet",
-                "--out", str(tmp_path / "report.json"),
-                "--profile-csv", str(prof)]) == 0
-    assert forks == []
-    assert prof.read_bytes() == cli_outputs[1].read_bytes()
+@pytest.mark.parametrize("name, forked", [("profile", True), ("boundary", True),
+                                          ("curvature", False)])
+def test_lone_dump_forks_when_the_child_can_render_it(tmp_path, monkeypatch,
+                                                      render_log, name, forked):
+    # a lone dump that reads only cascade artifacts is rendered by the forked
+    # child; the curvature dump reads an artifact evaluated at n
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    def lone(directory):
+        directory.mkdir()
+        dump = directory / f"{name}.csv"
+        assert run(["--dim", "3", "--punctures", "3", "--grid", "1000", "--quiet",
+                    f"--{name}-csv", str(dump)]) == 0
+        assert [p.name for p in directory.iterdir()] == [dump.name]
+        return dump.read_bytes()
+
+    monkeypatch.setattr(os, "fork", fork)
+    field = f"out_{name}_csv"
+    staged = lone(tmp_path / "forked")
+    assert forks == [1] * forked
+    assert _split(render_log()) == ([] if forked else [field], [field] * forked)
+    monkeypatch.delattr(os, "fork")
+    assert lone(tmp_path / "serial") == staged
+    assert _split(render_log())[0][-1] == field
 
 
 def test_refused_fork_writes_serially(tmp_path, monkeypatch, cli_outputs):

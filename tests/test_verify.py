@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from ricci_forge import (
     gauss_crosscheck,
     report_to_dict,
     report_to_json,
+    rho_interval,
     run_verification,
     select_params,
     verify,
@@ -61,8 +62,9 @@ def test_higher_dimension_run(report_cache):
     rep = report_cache(11, 1)
     assert rep.overall
     bm = rep.artifacts["boundary"]
-    assert bm.rho_lo == bm.tau ** (9.0 / 10.0)
-    assert bm.rho_lo < 0.5
+    lo, _ = rho_interval(bm, rep.params.n)
+    assert lo == bm.tau ** (9.0 / 10.0)
+    assert lo < 0.5
 
 
 @pytest.mark.parametrize("overrides,clause", [
@@ -265,10 +267,12 @@ def test_gridspec_invariants():
     assert (spec.points, spec.lo, spec.hi) == (10, 0.0, 1.0)
 
 
-def test_boundary_rho_default_midpoint(report33):
-    bm = report33.artifacts["boundary"]
-    lo, hi = report33.artifacts["rho"]
-    assert bm.rho_default() == 0.5 * (lo + hi)
+def test_boundary_rho_default_midpoint(report33, capsys):
+    # --verbose prints the interval at the report's n and its midpoint
+    lo, hi = rho_interval(report33.artifacts["boundary"], report33.params.n)
+    assert cli.run(["--dim", "3", "--punctures", "3", "--verbose"]) == 0
+    assert (f"  rho interval = ({lo!r}, {hi!r}), default rho = {0.5 * (lo + hi)!r}"
+            in capsys.readouterr().out.splitlines())
 
 
 def test_lemma_2_13_a_margin_is_inner_piece_value(report33):
@@ -367,7 +371,10 @@ def test_n_free_builds_agree_across_n():
     assert a["profile"].params == b["profile"].params
     assert _bits(a["t_grid"]) == _bits(b["t_grid"])
     assert _bits(*a["profile"].jet(a["t_grid"])) == _bits(*b["profile"].jet(b["t_grid"]))
-    assert _bits(a["boundary"].samples) == _bits(b["boundary"].samples)
+    # every field of the boundary metric, samples included, is free of n
+    for f in fields(a["boundary"]):
+        x, y = getattr(a["boundary"], f.name), getattr(b["boundary"], f.name)
+        assert (_bits(x) == _bits(y)) if f.name == "samples" else x == y, f.name
 
 
 def test_cascade_artifacts_are_what_the_builds_make():
@@ -553,16 +560,10 @@ def test_failing_smooth_table_is_cached(floor_table):
 
 
 def test_empty_rho_interval_fails_with_its_margin(monkeypatch):
-    measure = verify.boundary_metric
-
-    def raised_lo(profile, params, points):
-        return replace(measure(profile, params, points), rho_lo=0.6)
-
-    monkeypatch.setattr(verify, "boundary_metric", raised_lo)
+    monkeypatch.setattr(verify, "rho_interval", lambda bm, n: (0.6, 0.5))
     rep = run_verification(3, 3)
     chk = rep.check("rho_interval_nonempty")
-    bm = rep.artifacts["boundary"]
-    assert rep.artifacts["rho"] == (0.6, 0.5) and bm.omega > 0.5
+    assert rep.artifacts["boundary"].omega > 0.5
     assert chk.margin == 0.5 - 0.6 and chk.cause is None
     assert [c.name for c in rep.checks if not c.passed] == ["rho_interval_nonempty"]
 
