@@ -491,6 +491,33 @@ def test_csv_renderer_random_bit_patterns():
     _assert_cells_match(values, 5)
 
 
+WHOLE = [1.0, -1.0, 7.25, 123.0, -1e15, math.pi * 1e5, 9999999999999998.0, 2.0**52 + 0.5]
+BELOW_ONE = [0.1, -0.5, 1 / 3, 0.0099, -0.00012345678901234567, 1e-4, 0.999]
+EXPONENT = [1e16, 1e17, -2.5e17, 6.02214076e23, 1.2345678901234567e-5, -1e-100,
+            1e-200, 1e200, 99999.0e-10]
+# the widest fallback text, 24 bytes: every slot before the exponent slots
+WIDEST = -2.2250738585072014e-308
+FALLBACK = [0.0, -0.0, 5e-324, -5e-324, TIES[0], -TIES[1], 1e-300, WIDEST]
+
+
+# a block has the exponent slots only if a cell is in exponent form; a
+# fallback cell's text fills up to the 24 slots before them
+@pytest.mark.parametrize("values", [
+    WHOLE,
+    WHOLE + BELOW_ONE,
+    *[WHOLE + [cell] for cell in (1e16, 1e200, 1.2345678901234567e-5, -1e-100)],
+    BELOW_ONE + EXPONENT,
+    FALLBACK + [math.nan, math.inf, -math.inf, math.nan],
+    *[WHOLE + BELOW_ONE + [cell] for cell in (WIDEST, TIES[0], -0.0, 5e-324, 1e-300)],
+], ids=["whole", "below-one", "exponent-1e16", "exponent-1e200", "exponent-1.2e-5",
+        "exponent-minus-1e-100", "below-one+exponent", "fallback-and-nan",
+        "fallback-widest", "fallback-tie", "fallback-negative-zero", "fallback-subnormal",
+        "fallback-1e-300"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_render_block_slot_layouts(values, width):
+    _assert_cells_match(values, width)
+
+
 def _rendered_widths(monkeypatch):
     """Record the column count of every block ``_csv`` hands the renderer."""
     widths = []
